@@ -17,14 +17,14 @@
  *      byte-identical BENCH_netchaos.json, which is exactly what the
  *      CI net-smoke job diffs.
  *
- *   2. Server kill/restart: the server runs as a child process
- *      (this binary re-executed with --child-serve); the driver
- *      SIGKILLs it between replay segments and restarts it, and the
- *      client rides through each kill with exactly one reconnect.
+ *   2. Server kill/restart: the server is a spawned clapd process
+ *      (bench/clapd_util.hh); the bench SIGKILLs it between replay
+ *      segments and restarts it, and the client rides through each
+ *      kill with exactly one reconnect.
  *
- *   3. Shard migration: process A serves the first half of the trace,
+ *   3. Shard migration: clapd A serves the first half of the trace,
  *      its shard snapshots are streamed over the wire
- *      (SnapshotFetch -> SnapshotInstall) into a fresh process B,
+ *      (SnapshotFetch -> SnapshotInstall) into a fresh clapd B,
  *      which serves the second half. B's final aggregate
  *      PredictionStats must equal serve/crosscheck's
  *      shardedReferenceStats bit for bit — a migrated service is
@@ -32,32 +32,22 @@
  *
  * Flags (besides the shared bench/sweep flags):
  *   --netchaos-seed=N   chaos schedule seed (default 0xc4a0_e7)
- *
- * Child mode (internal): --child-serve=ENDPOINT --shards=N
- * --ready-fd=FD runs a deterministic service + gateway until a
- * Shutdown frame (or SIGKILL), writing one readiness byte to FD.
  */
 
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.hh"
+#include "bench/clapd_util.hh"
 #include "net/chaos.hh"
 #include "net/client.hh"
 #include "net/server.hh"
 #include "serve/crosscheck.hh"
 #include "serve/service.hh"
-#include "workloads/composer.hh"
 
 namespace
 {
@@ -67,205 +57,6 @@ using namespace clap::bench;
 using namespace clap::net;
 
 std::uint64_t chaosSeed = 0xc4a0e7; ///< --netchaos-seed
-
-std::string
-socketPath(const char *tag)
-{
-    return "/tmp/clap_netchaos_" + std::to_string(getpid()) + "_" +
-           tag + ".sock";
-}
-
-std::shared_ptr<const Trace>
-benchTrace()
-{
-    return globalTraceStore().get(buildSuite("INT").front(),
-                                  defaultTraceLength());
-}
-
-/* ------------------------------------------------------------------ */
-/* Child mode: this binary re-executed as the server process.         */
-/* ------------------------------------------------------------------ */
-
-int
-runChildServe(const std::string &endpoint, unsigned shards,
-              int ready_fd)
-{
-    std::signal(SIGPIPE, SIG_IGN);
-    ServiceConfig serviceConfig;
-    serviceConfig.shards = shards;
-    serviceConfig.deterministic = true;
-    serviceConfig.overload = OverloadPolicy::Block;
-    PredictionService service(serviceConfig, hybridFactory());
-
-    ServerConfig serverConfig;
-    serverConfig.endpoint = endpoint;
-    NetServer server(service, nullptr, serverConfig);
-    if (auto started = server.start(); !started) {
-        std::fprintf(stderr, "child-serve: %s\n",
-                     started.error().str().c_str());
-        return 1;
-    }
-    if (ready_fd >= 0) {
-        const char byte = 'R';
-        (void)!write(ready_fd, &byte, 1);
-        close(ready_fd);
-    }
-    while (!server.shutdownRequested())
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    server.stop();
-    service.stop();
-    return 0;
-}
-
-/** One spawned server process (fork + exec of /proc/self/exe). */
-struct ChildServer
-{
-    pid_t pid = -1;
-    std::string endpoint;
-
-    /** Spawn and block until the child's readiness byte arrives. */
-    bool
-    start(const std::string &endpoint_spec, unsigned shards,
-          std::string &error)
-    {
-        endpoint = endpoint_spec;
-        char self[4096];
-        const ssize_t n =
-            readlink("/proc/self/exe", self, sizeof(self) - 1);
-        if (n <= 0) {
-            error = "readlink /proc/self/exe failed";
-            return false;
-        }
-        self[n] = '\0';
-
-        int ready[2];
-        if (pipe(ready) != 0) {
-            error = "pipe() failed";
-            return false;
-        }
-        const std::string serveArg = "--child-serve=" + endpoint_spec;
-        const std::string shardsArg =
-            "--shards=" + std::to_string(shards);
-        const std::string readyArg =
-            "--ready-fd=" + std::to_string(ready[1]);
-
-        pid = fork();
-        if (pid < 0) {
-            close(ready[0]);
-            close(ready[1]);
-            error = "fork() failed";
-            return false;
-        }
-        if (pid == 0) {
-            close(ready[0]);
-            char *args[] = {self, const_cast<char *>(serveArg.c_str()),
-                            const_cast<char *>(shardsArg.c_str()),
-                            const_cast<char *>(readyArg.c_str()),
-                            nullptr};
-            execv(self, args);
-            _exit(127);
-        }
-        close(ready[1]);
-
-        // Block on the readiness byte (the child writes it once its
-        // listener is bound); EOF means the child died first.
-        char byte = 0;
-        const ssize_t got = read(ready[0], &byte, 1);
-        close(ready[0]);
-        if (got != 1) {
-            error = "server child exited before becoming ready";
-            (void)kill();
-            return false;
-        }
-        return true;
-    }
-
-    /** SIGKILL + reap (the crash the client must ride through). */
-    int
-    kill()
-    {
-        if (pid < 0)
-            return -1;
-        ::kill(pid, SIGKILL);
-        int status = 0;
-        waitpid(pid, &status, 0);
-        pid = -1;
-        return status;
-    }
-
-    /** Reap after a client-requested shutdown. */
-    int
-    wait()
-    {
-        if (pid < 0)
-            return -1;
-        int status = 0;
-        waitpid(pid, &status, 0);
-        pid = -1;
-        return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-    }
-};
-
-/* ------------------------------------------------------------------ */
-/* Shared replay machinery.                                           */
-/* ------------------------------------------------------------------ */
-
-struct ReplayCounts
-{
-    std::uint64_t loads = 0;
-    std::uint64_t predictErrors = 0; ///< structured errors after retries
-    std::uint64_t trainErrors = 0;   ///< one-shot trains that failed
-};
-
-/**
- * Replay records [@p first, @p last) of @p trace through @p client,
- * immediate-update model. A predict that still fails after the retry
- * budget sheds that load (its train is skipped); a failed train is
- * never retried (outcome unknown) and counts as a training gap. Both
- * are structured outcomes — what must never happen is a hang or a
- * wrong reply, and those are asserted elsewhere.
- */
-ReplayCounts
-replaySlice(NetClient &client, const Trace &trace, std::size_t first,
-            std::size_t last)
-{
-    ReplayCounts counts;
-    const auto &records = trace.records();
-    for (std::size_t i = first; i < last && i < records.size(); ++i) {
-        const auto &rec = records[i];
-        if (rec.isLoad()) {
-            ++counts.loads;
-            auto pred =
-                client.predict(client.makeInfo(rec.pc, rec.immOffset));
-            if (!pred) {
-                ++counts.predictErrors;
-                continue;
-            }
-            auto trained = client.train(
-                client.makeInfo(rec.pc, rec.immOffset), rec.effAddr,
-                *pred);
-            if (!trained)
-                ++counts.trainErrors;
-        } else if (rec.isBranch()) {
-            client.observeBranch(rec.taken);
-        } else if (rec.cls == InstClass::Call) {
-            client.observeCall(rec.pc);
-        }
-    }
-    return counts;
-}
-
-ClientConfig
-clientConfig(const std::string &endpoint)
-{
-    ClientConfig config;
-    config.endpoint = endpoint;
-    config.clientName = "netchaos";
-    config.maxAttempts = 8;
-    config.backoffBaseMs = 1;
-    config.backoffMaxMs = 20;
-    return config;
-}
 
 /* ------------------------------------------------------------------ */
 /* Phase 1: seeded chaos round trips against an in-process server.    */
@@ -330,9 +121,9 @@ runChaosTier(const ChaosTier &tier, const Trace &trace)
     serviceConfig.overload = OverloadPolicy::Block;
     PredictionService service(serviceConfig, hybridFactory());
 
+    const std::string path = socketPath("netchaos", "chaos-" + row.tier);
     ServerConfig serverConfig;
-    serverConfig.endpoint =
-        "unix:" + socketPath(("chaos-" + row.tier).c_str());
+    serverConfig.endpoint = "unix:" + path;
     // Reconnect bursts briefly overlap old (dying) and new
     // connections; a generous budget keeps turned_away at a
     // deterministic zero.
@@ -346,7 +137,8 @@ runChaosTier(const ChaosTier &tier, const Trace &trace)
     }
 
     NetChaos chaos(tier.config);
-    ClientConfig config = clientConfig(server.boundEndpoint().str());
+    ClientConfig config =
+        clientConfig(server.boundEndpoint().str(), "netchaos");
     config.decorate = [&chaos](std::unique_ptr<Stream> inner) {
         return chaos.wrap(std::move(inner));
     };
@@ -358,7 +150,7 @@ runChaosTier(const ChaosTier &tier, const Trace &trace)
     }
     server.stop();
     service.stop();
-    std::remove(socketPath(("chaos-" + row.tier).c_str()).c_str());
+    std::remove(path.c_str());
 
     row.faults = chaos.stats();
     row.server = server.counters();
@@ -390,9 +182,10 @@ runKillPhase(const Trace &trace)
 {
     constexpr unsigned segments = 4; // 3 kills
     KillPhaseRow row;
-    const std::string endpoint = "unix:" + socketPath("kill");
+    const std::string path = socketPath("netchaos", "kill");
+    const std::string endpoint = "unix:" + path;
 
-    ChildServer child;
+    ClapdProcess child;
     std::string error;
     if (!child.start(endpoint, 2, error)) {
         BenchState::instance().failures.push_back(
@@ -400,16 +193,12 @@ runKillPhase(const Trace &trace)
         return row;
     }
 
-    NetClient client(clientConfig(endpoint));
+    NetClient client(clientConfig(endpoint, "netchaos"));
     const std::size_t total = trace.records().size();
     for (unsigned seg = 0; seg < segments; ++seg) {
         const std::size_t first = total * seg / segments;
         const std::size_t last = total * (seg + 1) / segments;
-        const ReplayCounts counts =
-            replaySlice(client, trace, first, last);
-        row.counts.loads += counts.loads;
-        row.counts.predictErrors += counts.predictErrors;
-        row.counts.trainErrors += counts.trainErrors;
+        row.counts.add(replaySlice(client, trace, first, last));
         if (seg + 1 == segments)
             break;
 
@@ -432,7 +221,7 @@ runKillPhase(const Trace &trace)
             {"netchaos/kill/shutdown", stopped.error().str()});
     }
     child.wait();
-    std::remove(socketPath("kill").c_str());
+    std::remove(path.c_str());
 
     if (row.client.wrongReplies != 0) {
         BenchState::instance().failures.push_back(
@@ -474,10 +263,12 @@ MigratePhaseRow
 runMigratePhase(const Trace &trace)
 {
     MigratePhaseRow row;
-    const std::string endpointA = "unix:" + socketPath("migrate-a");
-    const std::string endpointB = "unix:" + socketPath("migrate-b");
+    const std::string pathA = socketPath("netchaos", "migrate-a");
+    const std::string pathB = socketPath("netchaos", "migrate-b");
+    const std::string endpointA = "unix:" + pathA;
+    const std::string endpointB = "unix:" + pathB;
 
-    ChildServer serverA;
+    ClapdProcess serverA;
     std::string error;
     if (!serverA.start(endpointA, row.shards, error)) {
         BenchState::instance().failures.push_back(
@@ -488,7 +279,7 @@ runMigratePhase(const Trace &trace)
     // First half of the trace into A. The client object survives the
     // migration below, carrying its GHR/path history across servers
     // exactly as a session would across a shard handoff.
-    NetClient client(clientConfig(endpointA));
+    NetClient client(clientConfig(endpointA, "netchaos"));
     const std::size_t half = trace.records().size() / 2;
     row.counts = replaySlice(client, trace, 0, half);
 
@@ -500,7 +291,6 @@ runMigratePhase(const Trace &trace)
             BenchState::instance().failures.push_back(
                 {"netchaos/migrate/fetch" + std::to_string(s),
                  fetched.error().str()});
-            serverA.kill();
             return row;
         }
         snapshots[s] = std::move(*fetched);
@@ -511,24 +301,23 @@ runMigratePhase(const Trace &trace)
             {"netchaos/migrate/shutdown-a", stopped.error().str()});
     }
     serverA.wait();
-    std::remove(socketPath("migrate-a").c_str());
+    std::remove(pathA.c_str());
 
-    // Install into a fresh process B and finish the trace there.
-    ChildServer serverB;
+    // Install into a fresh clapd B and finish the trace there.
+    ClapdProcess serverB;
     if (!serverB.start(endpointB, row.shards, error)) {
         BenchState::instance().failures.push_back(
             {"netchaos/migrate/start-b", error});
         return row;
     }
     client.disconnect();
-    NetClient clientB(clientConfig(endpointB));
+    NetClient clientB(clientConfig(endpointB, "netchaos"));
     for (unsigned s = 0; s < row.shards; ++s) {
         auto installed = clientB.installSnapshot(s, snapshots[s]);
         if (!installed) {
             BenchState::instance().failures.push_back(
                 {"netchaos/migrate/install" + std::to_string(s),
                  installed.error().str()});
-            serverB.kill();
             return row;
         }
         row.sectionsRestored += installed->first;
@@ -539,18 +328,14 @@ runMigratePhase(const Trace &trace)
     // context survives the server switch along with the shard state.
     clientB.adoptHistory(client.ghr(), client.pathHist());
 
-    const ReplayCounts second =
-        replaySlice(clientB, trace, half, trace.records().size());
-    row.counts.loads += second.loads;
-    row.counts.predictErrors += second.predictErrors;
-    row.counts.trainErrors += second.trainErrors;
+    row.counts.add(
+        replaySlice(clientB, trace, half, trace.records().size()));
 
     // B's aggregate must now equal the never-migrated reference.
     auto stats = clientB.stats();
     if (!stats) {
         BenchState::instance().failures.push_back(
             {"netchaos/migrate/stats", stats.error().str()});
-        serverB.kill();
         return row;
     }
     row.migrated = stats->aggregate;
@@ -564,7 +349,7 @@ runMigratePhase(const Trace &trace)
             {"netchaos/migrate/shutdown-b", stopped.error().str()});
     }
     serverB.wait();
-    std::remove(socketPath("migrate-b").c_str());
+    std::remove(pathB.c_str());
 
     if (!row.statsEqual) {
         BenchState::instance().failures.push_back(
@@ -601,7 +386,7 @@ results()
     static const NetChaosResults cached = [] {
         std::signal(SIGPIPE, SIG_IGN);
         NetChaosResults out;
-        const std::shared_ptr<const Trace> trace = benchTrace();
+        const std::shared_ptr<const Trace> trace = chaosBenchTrace();
         for (const ChaosTier &tier : chaosTiers())
             out.chaos.push_back(runChaosTier(tier, *trace));
         out.kill = runKillPhase(*trace);
@@ -717,24 +502,6 @@ parseNetChaosFlags(int &argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    // Child mode: no benchmark harness, just the server loop.
-    std::string childEndpoint;
-    unsigned childShards = 2;
-    int readyFd = -1;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.compare(0, 14, "--child-serve=") == 0)
-            childEndpoint = arg.substr(14);
-        else if (arg.compare(0, 9, "--shards=") == 0 &&
-                 !childEndpoint.empty())
-            childShards =
-                static_cast<unsigned>(std::atol(arg.c_str() + 9));
-        else if (arg.compare(0, 11, "--ready-fd=") == 0)
-            readyFd = std::atoi(arg.c_str() + 11);
-    }
-    if (!childEndpoint.empty())
-        return runChildServe(childEndpoint, childShards, readyFd);
-
     parseNetChaosFlags(argc, argv);
     return clap::bench::benchMain("netchaos", argc, argv, printResults);
 }

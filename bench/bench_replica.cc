@@ -1,13 +1,14 @@
 /**
  * @file
  * The replication proof for src/replica/: a single client replays a
- * trace through one ReplicaGateway endpoint fronting N clapd-shaped
- * replica processes, and the harness asserts the contract the layer
- * was designed around — the replica set is indistinguishable from one
- * unsharded deterministic service. Aggregate PredictionStats must
- * equal serve/crosscheck's shardedReferenceStats bit for bit, the
- * divergence auditor must find every replica's per-shard stats
- * identical after a drain, and wrong_replies must be 0 everywhere.
+ * trace through one ReplicaGateway endpoint fronting N spawned clapd
+ * processes (bench/clapd_util.hh), and the harness asserts the
+ * contract the layer was designed around — the replica set is
+ * indistinguishable from one unsharded deterministic service.
+ * Aggregate PredictionStats must equal serve/crosscheck's
+ * shardedReferenceStats bit for bit, the divergence auditor must find
+ * every replica's per-shard stats identical after a drain, and
+ * wrong_replies must be 0 everywhere.
  *
  * Two phases, all with deterministic tables:
  *
@@ -34,33 +35,22 @@
  *
  * Flags (besides the shared bench/sweep flags):
  *   --replica-seed=N   balance + kill schedule seed (default 0x5eed)
- *
- * Child mode (internal): --child-serve=ENDPOINT --shards=N
- * --ready-fd=FD runs a deterministic service + gateway until a
- * Shutdown frame (or SIGKILL), writing one readiness byte to FD.
  */
 
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.hh"
+#include "bench/clapd_util.hh"
 #include "net/client.hh"
 #include "net/server.hh"
 #include "replica/chaos.hh"
 #include "replica/gateway.hh"
 #include "serve/crosscheck.hh"
-#include "serve/service.hh"
-#include "workloads/composer.hh"
 
 namespace
 {
@@ -75,226 +65,7 @@ std::uint64_t replicaSeed = 0x5eed; ///< --replica-seed
 constexpr unsigned kReplicas = 3;
 constexpr unsigned kShards = 2;
 
-std::string
-socketPath(const std::string &tag)
-{
-    return "/tmp/clap_replica_" + std::to_string(getpid()) + "_" + tag +
-           ".sock";
-}
-
-std::shared_ptr<const Trace>
-benchTrace()
-{
-    return globalTraceStore().get(buildSuite("INT").front(),
-                                  defaultTraceLength());
-}
-
-/* ------------------------------------------------------------------ */
-/* Child mode: this binary re-executed as one replica process.        */
-/* ------------------------------------------------------------------ */
-
-int
-runChildServe(const std::string &endpoint, unsigned shards,
-              int ready_fd)
-{
-    std::signal(SIGPIPE, SIG_IGN);
-    ServiceConfig serviceConfig;
-    serviceConfig.shards = shards;
-    serviceConfig.deterministic = true;
-    serviceConfig.overload = OverloadPolicy::Block;
-    PredictionService service(serviceConfig, hybridFactory());
-
-    ServerConfig serverConfig;
-    serverConfig.endpoint = endpoint;
-    NetServer server(service, nullptr, serverConfig);
-    if (auto started = server.start(); !started) {
-        std::fprintf(stderr, "child-serve: %s\n",
-                     started.error().str().c_str());
-        return 1;
-    }
-    if (ready_fd >= 0) {
-        const char byte = 'R';
-        (void)!write(ready_fd, &byte, 1);
-        close(ready_fd);
-    }
-    while (!server.shutdownRequested())
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    server.stop();
-    service.stop();
-    return 0;
-}
-
-/** One spawned replica process (fork + exec of /proc/self/exe). */
-struct ChildServer
-{
-    pid_t pid = -1;
-    std::string endpoint;
-
-    /** Spawn and block until the child's readiness byte arrives. */
-    bool
-    start(const std::string &endpoint_spec, unsigned shards,
-          std::string &error)
-    {
-        endpoint = endpoint_spec;
-        char self[4096];
-        const ssize_t n =
-            readlink("/proc/self/exe", self, sizeof(self) - 1);
-        if (n <= 0) {
-            error = "readlink /proc/self/exe failed";
-            return false;
-        }
-        self[n] = '\0';
-
-        int ready[2];
-        if (pipe(ready) != 0) {
-            error = "pipe() failed";
-            return false;
-        }
-        const std::string serveArg = "--child-serve=" + endpoint_spec;
-        const std::string shardsArg =
-            "--shards=" + std::to_string(shards);
-        const std::string readyArg =
-            "--ready-fd=" + std::to_string(ready[1]);
-
-        pid = fork();
-        if (pid < 0) {
-            close(ready[0]);
-            close(ready[1]);
-            error = "fork() failed";
-            return false;
-        }
-        if (pid == 0) {
-            close(ready[0]);
-            char *args[] = {self, const_cast<char *>(serveArg.c_str()),
-                            const_cast<char *>(shardsArg.c_str()),
-                            const_cast<char *>(readyArg.c_str()),
-                            nullptr};
-            execv(self, args);
-            _exit(127);
-        }
-        close(ready[1]);
-
-        char byte = 0;
-        const ssize_t got = read(ready[0], &byte, 1);
-        close(ready[0]);
-        if (got != 1) {
-            error = "replica child exited before becoming ready";
-            (void)kill();
-            return false;
-        }
-        return true;
-    }
-
-    /** SIGKILL + reap (the crash the gateway must ride through). */
-    int
-    kill()
-    {
-        if (pid < 0)
-            return -1;
-        ::kill(pid, SIGKILL);
-        int status = 0;
-        waitpid(pid, &status, 0);
-        pid = -1;
-        return status;
-    }
-
-    /** Reap after a client-requested shutdown. */
-    int
-    wait()
-    {
-        if (pid < 0)
-            return -1;
-        int status = 0;
-        waitpid(pid, &status, 0);
-        pid = -1;
-        return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-    }
-};
-
-/** Shutdown one replica child directly (bypassing the gateway, whose
- *  Shutdown frame stops only the front door). */
-void
-shutdownChild(ChildServer &child)
-{
-    ClientConfig config;
-    config.endpoint = child.endpoint;
-    config.clientName = "replica-bench-admin";
-    NetClient admin(config);
-    if (admin.requestShutdown())
-        child.wait();
-    else
-        child.kill();
-}
-
-/* ------------------------------------------------------------------ */
-/* Shared replay machinery.                                           */
-/* ------------------------------------------------------------------ */
-
-struct ReplayCounts
-{
-    std::uint64_t loads = 0;
-    std::uint64_t predictErrors = 0;
-    std::uint64_t trainErrors = 0;
-
-    void
-    add(const ReplayCounts &other)
-    {
-        loads += other.loads;
-        predictErrors += other.predictErrors;
-        trainErrors += other.trainErrors;
-    }
-};
-
-/**
- * Replay records [@p first, @p last) of @p trace through @p client,
- * immediate-update model. While any replica serves, the gateway must
- * absorb every fault: a predict fails over internally and a train
- * lands on the survivors, so both error counts are asserted to be 0
- * at the end of each phase.
- */
-ReplayCounts
-replaySlice(NetClient &client, const Trace &trace, std::size_t first,
-            std::size_t last)
-{
-    ReplayCounts counts;
-    const auto &records = trace.records();
-    for (std::size_t i = first; i < last && i < records.size(); ++i) {
-        const auto &rec = records[i];
-        if (rec.isLoad()) {
-            ++counts.loads;
-            auto pred =
-                client.predict(client.makeInfo(rec.pc, rec.immOffset));
-            if (!pred) {
-                ++counts.predictErrors;
-                continue;
-            }
-            auto trained = client.train(
-                client.makeInfo(rec.pc, rec.immOffset), rec.effAddr,
-                *pred);
-            if (!trained)
-                ++counts.trainErrors;
-        } else if (rec.isBranch()) {
-            client.observeBranch(rec.taken);
-        } else if (rec.cls == InstClass::Call) {
-            client.observeCall(rec.pc);
-        }
-    }
-    return counts;
-}
-
-ClientConfig
-clientConfig(const std::string &endpoint)
-{
-    ClientConfig config;
-    config.endpoint = endpoint;
-    config.clientName = "replica-bench";
-    config.maxAttempts = 8;
-    config.backoffBaseMs = 1;
-    config.backoffMaxMs = 20;
-    return config;
-}
-
-/** A gateway + front-door server over already-started children. */
+/** A gateway + front-door server over already-started replicas. */
 struct GatewayStack
 {
     std::unique_ptr<ReplicaGateway> gateway;
@@ -347,6 +118,46 @@ expect(bool condition, const std::string &key, const std::string &what)
         BenchState::instance().failures.push_back({key, what});
 }
 
+std::string
+replicaSocket(const std::string &tag, unsigned i)
+{
+    return socketPath("replica", tag + "-r" + std::to_string(i));
+}
+
+/** Spawn one clapd per replica slot on its "<tag>-r<i>" socket; false
+ *  (failure recorded) as soon as one does not come up. */
+bool
+startReplicas(std::vector<ClapdProcess> &replicas,
+              std::vector<std::string> &endpoints,
+              const std::string &tag, const std::string &phase)
+{
+    std::string error;
+    for (unsigned i = 0; i < replicas.size(); ++i) {
+        endpoints.push_back("unix:" + replicaSocket(tag, i));
+        if (!replicas[i].start(endpoints[i], kShards, error)) {
+            BenchState::instance().failures.push_back(
+                {"replica/" + phase + "/start-r" + std::to_string(i),
+                 error});
+            return false;
+        }
+    }
+    return true;
+}
+
+/** Stop the gateway, shut every replica down, and remove the
+ *  sockets a crash may have left behind. */
+void
+tearDown(GatewayStack &stack, std::vector<ClapdProcess> &replicas,
+         const std::string &tag)
+{
+    stack.stop();
+    for (unsigned i = 0; i < replicas.size(); ++i) {
+        replicas[i].shutdown();
+        std::remove(replicaSocket(tag, i).c_str());
+    }
+    std::remove(socketPath("replica", tag + "-gw").c_str());
+}
+
 /* ------------------------------------------------------------------ */
 /* Phase 1: balanced replay over three healthy replicas.              */
 /* ------------------------------------------------------------------ */
@@ -369,29 +180,15 @@ BalancedRow
 runBalancedPhase(const Trace &trace)
 {
     BalancedRow row;
-    std::vector<ChildServer> children(kReplicas);
+    std::vector<ClapdProcess> replicas(kReplicas);
     std::vector<std::string> endpoints;
-    std::string error;
-    for (unsigned i = 0; i < kReplicas; ++i) {
-        endpoints.push_back(
-            "unix:" + socketPath("bal-r" + std::to_string(i)));
-        if (!children[i].start(endpoints[i], kShards, error)) {
-            BenchState::instance().failures.push_back(
-                {"replica/balanced/start-r" + std::to_string(i),
-                 error});
-            for (unsigned j = 0; j < i; ++j)
-                children[j].kill();
-            return row;
-        }
-    }
+    if (!startReplicas(replicas, endpoints, "bal", "balanced"))
+        return row;
 
     GatewayStack stack;
-    const std::string front = "unix:" + socketPath("bal-gw");
-    if (!stack.start(endpoints, front, "balanced")) {
-        for (auto &child : children)
-            child.kill();
+    const std::string front = "unix:" + socketPath("replica", "bal-gw");
+    if (!stack.start(endpoints, front, "balanced"))
         return row;
-    }
 
     // One pass cold-starts the set: every replica is blank and Down,
     // so the first to answer joins donorless and donates to the rest.
@@ -401,7 +198,7 @@ runBalancedPhase(const Trace &trace)
                std::to_string(kReplicas) + " replicas joined");
 
     {
-        NetClient client(clientConfig(front));
+        NetClient client(clientConfig(front, "replica-bench"));
         row.counts =
             replaySlice(client, trace, 0, trace.records().size());
         auto stats = client.stats();
@@ -433,12 +230,7 @@ runBalancedPhase(const Trace &trace)
     row.statsEqual = row.stats == row.reference;
     row.completed = true;
 
-    stack.stop();
-    for (auto &child : children)
-        shutdownChild(child);
-    for (unsigned i = 0; i < kReplicas; ++i)
-        std::remove(socketPath("bal-r" + std::to_string(i)).c_str());
-    std::remove(socketPath("bal-gw").c_str());
+    tearDown(stack, replicas, "bal");
 
     expect(row.statsEqual, "replica/balanced/stats-equal",
            "replicated aggregate diverges from the unsharded "
@@ -499,29 +291,15 @@ runFailoverPhase(const Trace &trace)
     row.healVictim = plan.victim(0);
     row.journalVictim = plan.victim(1);
 
-    std::vector<ChildServer> children(kReplicas);
+    std::vector<ClapdProcess> replicas(kReplicas);
     std::vector<std::string> endpoints;
-    std::string error;
-    for (unsigned i = 0; i < kReplicas; ++i) {
-        endpoints.push_back(
-            "unix:" + socketPath("fo-r" + std::to_string(i)));
-        if (!children[i].start(endpoints[i], kShards, error)) {
-            BenchState::instance().failures.push_back(
-                {"replica/failover/start-r" + std::to_string(i),
-                 error});
-            for (unsigned j = 0; j < i; ++j)
-                children[j].kill();
-            return row;
-        }
-    }
+    if (!startReplicas(replicas, endpoints, "fo", "failover"))
+        return row;
 
     GatewayStack stack;
-    const std::string front = "unix:" + socketPath("fo-gw");
-    if (!stack.start(endpoints, front, "failover")) {
-        for (auto &child : children)
-            child.kill();
+    const std::string front = "unix:" + socketPath("replica", "fo-gw");
+    if (!stack.start(endpoints, front, "failover"))
         return row;
-    }
     const unsigned joined = stack.gateway->healthPass();
     expect(joined == kReplicas, "replica/failover/cold-start",
            std::to_string(joined) + " of " +
@@ -534,22 +312,23 @@ runFailoverPhase(const Trace &trace)
     };
 
     bool aborted = false;
+    std::string error;
     {
-        NetClient client(clientConfig(front));
+        NetClient client(clientConfig(front, "replica-bench"));
         for (unsigned seg = 0; seg < segments && !aborted; ++seg) {
             switch (seg) {
               case 1:
                 // Victim A dies between round trips. The gateway
                 // discovers it inside this segment: a predict forward
                 // strikes it, the first fanned train marks it Down.
-                children[row.healVictim].kill();
+                replicas[row.healVictim].kill();
                 ++row.kills;
                 break;
               case 2:
                 // Restart, then heal through the production path: the
                 // pass pings the Down replica, it answers, and the
                 // full bootstrap runs inside healthPass().
-                if (!children[row.healVictim].start(
+                if (!replicas[row.healVictim].start(
                         endpoints[row.healVictim], kShards, error)) {
                     BenchState::instance().failures.push_back(
                         {"replica/failover/restart-heal", error});
@@ -563,14 +342,14 @@ runFailoverPhase(const Trace &trace)
                 }
                 break;
               case 3:
-                children[row.journalVictim].kill();
+                replicas[row.journalVictim].kill();
                 ++row.kills;
                 break;
               case 4:
                 // Journal round: restart the victim and cut its
                 // snapshot now, but leave it Joining for the whole
                 // segment — every train below lands in its journal.
-                if (!children[row.journalVictim].start(
+                if (!replicas[row.journalVictim].start(
                         endpoints[row.journalVictim], kShards,
                         error)) {
                     BenchState::instance().failures.push_back(
@@ -638,12 +417,7 @@ runFailoverPhase(const Trace &trace)
     row.statsEqual = row.stats == row.reference;
     row.completed = !aborted;
 
-    stack.stop();
-    for (auto &child : children)
-        shutdownChild(child);
-    for (unsigned i = 0; i < kReplicas; ++i)
-        std::remove(socketPath("fo-r" + std::to_string(i)).c_str());
-    std::remove(socketPath("fo-gw").c_str());
+    tearDown(stack, replicas, "fo");
 
     expect(row.completed, "replica/failover/completed",
            "failover phase aborted early");
@@ -689,7 +463,7 @@ results()
     static const ReplicaResults cached = [] {
         std::signal(SIGPIPE, SIG_IGN);
         ReplicaResults out;
-        const std::shared_ptr<const Trace> trace = benchTrace();
+        const std::shared_ptr<const Trace> trace = chaosBenchTrace();
         out.balanced = runBalancedPhase(*trace);
         out.failover = runFailoverPhase(*trace);
         return out;
@@ -800,24 +574,6 @@ parseReplicaFlags(int &argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    // Child mode: no benchmark harness, just the replica loop.
-    std::string childEndpoint;
-    unsigned childShards = kShards;
-    int readyFd = -1;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.compare(0, 14, "--child-serve=") == 0)
-            childEndpoint = arg.substr(14);
-        else if (arg.compare(0, 9, "--shards=") == 0 &&
-                 !childEndpoint.empty())
-            childShards =
-                static_cast<unsigned>(std::atol(arg.c_str() + 9));
-        else if (arg.compare(0, 11, "--ready-fd=") == 0)
-            readyFd = std::atoi(arg.c_str() + 11);
-    }
-    if (!childEndpoint.empty())
-        return runChildServe(childEndpoint, childShards, readyFd);
-
     parseReplicaFlags(argc, argv);
     return clap::bench::benchMain("replica", argc, argv, printResults);
 }

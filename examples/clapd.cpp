@@ -6,10 +6,12 @@
  * on a UDS or TCP endpoint. Runs until a client's Shutdown frame or
  * SIGINT/SIGTERM, then drains and exits 0.
  *
- * This is also the shard-migration child: bench_netchaos starts two
- * clapd processes, streams shard snapshots from the first into the
- * second over the wire (SnapshotFetch -> SnapshotInstall), and proves
- * the second resumes serving bit for bit.
+ * This is also the process the chaos benches spawn (through
+ * bench/clapd_util.hh): bench_netchaos SIGKILLs and restarts it
+ * between replay segments and streams shard snapshots from one clapd
+ * into a second over the wire (SnapshotFetch -> SnapshotInstall),
+ * proving the second resumes serving bit for bit; bench_replica runs
+ * three of them behind a ReplicaGateway.
  *
  * Usage:
  *   clapd [--endpoint=unix:/tmp/clapd.sock | --endpoint=tcp:127.0.0.1:0]
@@ -23,10 +25,10 @@
  *
  * --ready-fd=N writes one byte to descriptor N (then closes it) once
  * the listener is bound — the no-poll readiness handshake a parent
- * process (the migration driver) waits on. --deterministic runs the
+ * process (a bench or a script) waits on. --deterministic runs the
  * service without worker threads, which makes a single-connection
- * request stream a pure function of its order — the mode the
- * migration equality check requires.
+ * request stream a pure function of its order — the mode the benches'
+ * stats-equality checks require.
  *
  * clapd --probe=SPEC [--shutdown] turns the binary into a one-shot
  * client instead: connect, ping, one predict/train round trip, and

@@ -135,7 +135,7 @@ main(int argc, char **argv)
     const Trace trace = generateTrace(*spec, insts);
 
     const std::string path = "/tmp/" + name + ".clap";
-    if (const auto written = writeTrace(trace, path, {}); !written) {
+    if (const auto written = writeTrace(trace, path); !written) {
         std::fprintf(stderr, "trace_tool: %s\n",
                      written.error().str().c_str());
         return exitWriteFailure;

@@ -61,7 +61,6 @@ NetClient::disconnect()
     reader_ = FrameReader{};
     // serverClockOffsetNs_ survives as "last known" — a scrape-merge
     // consumer wants the offset even after the connection closed.
-    negotiatedVersion_ = 0;
 }
 
 void
@@ -110,57 +109,41 @@ NetClient::ensureConnected()
     reader_ = FrameReader{};
 
     // Version handshake before any request; a mismatched server must
-    // reject us here, not corrupt a prediction later. Negotiation:
-    // offer maxWireVersion; a pre-v3 server rejects that with a clean
-    // BadVersion (the Hello payload shape is version-invariant), and
-    // we re-Hello once at the base version on the same connection.
-    std::uint16_t offer = config_.maxWireVersion;
-    for (;;) {
-        const std::uint64_t id = nextId_++;
-        if (auto sent = sendFrame(FrameType::Hello, id,
-                                  encodeHello(config_.clientName, offer));
-            !sent) {
-            disconnect();
-            ++counters_.connectFailures;
-            return std::move(sent.error()).withContext("hello handshake");
-        }
-        auto reply = awaitReply(id, FrameType::HelloOk,
-                                config_.requestDeadlineMs);
-        if (!reply) {
-            disconnect();
-            ++counters_.connectFailures;
-            return std::move(reply.error()).withContext("hello handshake");
-        }
-        if (reply->isError) {
-            if (reply->serverError.code() == ErrorCode::BadVersion &&
-                offer > wireVersionBase) {
-                ++counters_.helloDowngrades;
-                offer = wireVersionBase;
-                continue;
-            }
-            disconnect();
-            ++counters_.connectFailures;
-            return std::move(reply->serverError)
-                .withContext("hello handshake");
-        }
-        std::uint16_t version = 0;
-        std::string serverName;
-        std::uint64_t epochNs = 0;
-        if (!decodeHelloOk(reply->frame.payload, version, serverName,
-                           epochNs) ||
-            version < wireVersionBase || version > offer) {
-            disconnect();
-            ++counters_.connectFailures;
-            return makeError(ErrorCode::ProtocolError,
-                             "malformed HelloOk payload");
-        }
-        negotiatedVersion_ = version;
-        if (epochNs != 0) {
-            serverClockOffsetNs_ = static_cast<std::int64_t>(epochNs) -
-                static_cast<std::int64_t>(obs::traceClockEpochUnixNs());
-        }
-        break;
+    // reject us here (BadVersion), not corrupt a prediction later.
+    const std::uint64_t id = nextId_++;
+    if (auto sent = sendFrame(FrameType::Hello, id,
+                              encodeHello(config_.clientName));
+        !sent) {
+        disconnect();
+        ++counters_.connectFailures;
+        return std::move(sent.error()).withContext("hello handshake");
     }
+    auto reply =
+        awaitReply(id, FrameType::HelloOk, config_.requestDeadlineMs);
+    if (!reply) {
+        disconnect();
+        ++counters_.connectFailures;
+        return std::move(reply.error()).withContext("hello handshake");
+    }
+    if (reply->isError) {
+        disconnect();
+        ++counters_.connectFailures;
+        return std::move(reply->serverError)
+            .withContext("hello handshake");
+    }
+    std::uint16_t version = 0;
+    std::string serverName;
+    std::uint64_t epochNs = 0;
+    if (!decodeHelloOk(reply->frame.payload, version, serverName,
+                       epochNs) ||
+        version != wireVersion) {
+        disconnect();
+        ++counters_.connectFailures;
+        return makeError(ErrorCode::ProtocolError,
+                         "malformed HelloOk payload");
+    }
+    serverClockOffsetNs_ = static_cast<std::int64_t>(epochNs) -
+        static_cast<std::int64_t>(obs::traceClockEpochUnixNs());
     ++counters_.connects;
     return ok();
 }
@@ -173,15 +156,14 @@ NetClient::sendFrame(FrameType type, std::uint64_t id,
     frame.type = type;
     frame.id = id;
     frame.payload = std::move(payload);
-    // Propagate the ambient trace context once the peer speaks v3.
-    // Only sampled contexts travel: an unsampled request stays a
-    // byte-identical v2 frame, so tracing-off and tracing-on runs
-    // produce the same wire bytes (the netchaos determinism contract).
-    if (negotiatedVersion_ >= 3) {
-        const obs::TraceContext ctx = obs::currentTraceContext();
-        if (ctx.valid() && ctx.sampled)
-            frame.trace = ctx;
-    }
+    // Propagate the ambient trace context on requests; the handshake
+    // belongs to no request's trace. Only sampled contexts travel: an
+    // unsampled request stays a plain frame, so tracing-off and
+    // tracing-on runs produce the same wire bytes (the netchaos
+    // determinism contract).
+    const obs::TraceContext ctx = obs::currentTraceContext();
+    if (type != FrameType::Hello && ctx.valid() && ctx.sampled)
+        frame.trace = ctx;
     const std::string bytes = encodeFrame(frame);
     auto sent = stream_->sendAll(bytes.data(), bytes.size(),
                                  config_.requestDeadlineMs);

@@ -81,12 +81,6 @@ struct ClientConfig
     std::function<std::unique_ptr<Stream>(std::unique_ptr<Stream>)>
         decorate;
 
-    /// Highest wire version offered in the Hello handshake (lower it
-    /// to wireVersionBase to behave exactly like a pre-v3 client).
-    /// When a server rejects the offer with BadVersion, the client
-    /// re-Hellos once at wireVersionBase — new client, old server.
-    std::uint16_t maxWireVersion = wireVersion;
-
     /** Structural sanity checks. */
     Expected<void>
     validate() const
@@ -101,12 +95,6 @@ struct ClientConfig
             return makeError(
                 ErrorCode::InvalidConfig,
                 "ClientConfig: need 0 <= backoffBaseMs <= backoffMaxMs");
-        if (maxWireVersion < wireVersionBase ||
-            maxWireVersion > wireVersion)
-            return makeError(ErrorCode::InvalidConfig,
-                             "ClientConfig: maxWireVersion must be in [" +
-                                 std::to_string(wireVersionBase) + ", " +
-                                 std::to_string(wireVersion) + "]");
         return ok();
     }
 };
@@ -125,7 +113,6 @@ struct ClientCounters
     std::uint64_t corruptReplies = 0; ///< reply frames failing CRC/frame
     std::uint64_t wrongReplies = 0;   ///< PC echo mismatch (must stay 0)
     std::uint64_t goAways = 0;        ///< server-initiated drops seen
-    std::uint64_t helloDowngrades = 0;///< handshakes re-tried at v2
 };
 
 class NetClient
@@ -209,11 +196,8 @@ class NetClient
 
     bool connected() const { return stream_ != nullptr; }
 
-    /** Wire version agreed in the last handshake (0 before any). */
-    std::uint16_t negotiatedVersion() const { return negotiatedVersion_; }
-
     /** Server trace-clock epoch minus ours, in ns — how far ahead the
-     *  server's span timestamps run. 0 until a >= v3 handshake. */
+     *  server's span timestamps run. 0 until the first handshake. */
     std::int64_t serverClockOffsetNs() const { return serverClockOffsetNs_; }
 
     const ClientCounters &counters() const { return counters_; }
@@ -222,7 +206,8 @@ class NetClient
     /** Connect + decorate + Hello/HelloOk. */
     Expected<void> ensureConnected();
 
-    /** Send one frame on the current connection. */
+    /** Send one frame on the current connection, carrying the ambient
+     *  trace context when it is sampled. */
     Expected<void> sendFrame(FrameType type, std::uint64_t id,
                              std::string payload);
 
@@ -255,7 +240,6 @@ class NetClient
     std::uint64_t nextId_ = 1;
     Rng jitter_;
     ClientCounters counters_;
-    std::uint16_t negotiatedVersion_ = 0;
     std::int64_t serverClockOffsetNs_ = 0;
 
     std::uint64_t ghr_ = 0;

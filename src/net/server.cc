@@ -538,7 +538,7 @@ NetServer::handleFrame(Stream &stream, const Frame &frame,
     switch (frame.type) {
       case FrameType::Hello: {
         // The handshake is transport policy, not request semantics:
-        // every handler behind this server speaks the same versions.
+        // every handler behind this server speaks the same version.
         std::uint16_t version = 0;
         std::string name;
         if (!decodeHello(frame.payload, version, name)) {
@@ -546,23 +546,19 @@ NetServer::handleFrame(Stream &stream, const Frame &frame,
                              makeError(ErrorCode::ProtocolError,
                                        "malformed Hello payload"));
         }
-        if (version < wireVersionBase ||
-            version > config_.maxWireVersion) {
+        if (version != wireVersion) {
             return sendError(
                 stream, frame.id,
                 makeError(ErrorCode::BadVersion,
                           "client speaks wire version " +
                               std::to_string(version) + ", server " +
-                              std::to_string(config_.maxWireVersion)));
+                              std::to_string(wireVersion)));
         }
-        // The client asked for a version we speak; that is the
-        // negotiated one. At >= 3 the reply carries our trace-clock
-        // epoch so the peer can align merged span timelines.
-        return sendFrame(
-            stream, FrameType::HelloOk, frame.id,
-            encodeHelloOk(config_.serverName, version,
-                          version >= 3 ? obs::traceClockEpochUnixNs()
-                                       : 0));
+        // The reply carries our trace-clock epoch so the peer can
+        // align merged span timelines.
+        return sendFrame(stream, FrameType::HelloOk, frame.id,
+                         encodeHelloOk(config_.serverName,
+                                       obs::traceClockEpochUnixNs()));
       }
 
       case FrameType::Shutdown: {

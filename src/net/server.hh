@@ -80,11 +80,6 @@ struct ServerConfig
     double shedFraction = 0.75;
     double rejectFraction = 0.95;
 
-    /// Highest wire version offered in the Hello handshake. Lowering
-    /// it to wireVersionBase makes this server behave exactly like a
-    /// pre-v3 build (compat tests); clients downgrade on BadVersion.
-    std::uint16_t maxWireVersion = wireVersion;
-
     /** Structural sanity checks; call before building a server. */
     Expected<void>
     validate() const
@@ -104,13 +99,6 @@ struct ServerConfig
                 ErrorCode::InvalidConfig,
                 "ServerConfig: need 0 < shedFraction <= rejectFraction "
                 "<= 1");
-        }
-        if (maxWireVersion < wireVersionBase ||
-            maxWireVersion > wireVersion) {
-            return makeError(ErrorCode::InvalidConfig,
-                             "ServerConfig: maxWireVersion must be in [" +
-                                 std::to_string(wireVersionBase) + ", " +
-                                 std::to_string(wireVersion) + "]");
         }
         return ok();
     }

@@ -308,10 +308,9 @@ Listener::accept(int deadline_ms)
 void
 Listener::close()
 {
-    if (fd_ < 0)
+    const int fd = fd_.exchange(-1);
+    if (fd < 0)
         return;
-    const int fd = fd_;
-    fd_ = -1;
     ::shutdown(fd, SHUT_RDWR);
     ::close(fd);
     if (bound_.kind == Endpoint::Kind::Unix && !bound_.path.empty())

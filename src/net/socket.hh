@@ -20,6 +20,7 @@
 #ifndef CLAP_NET_SOCKET_HH
 #define CLAP_NET_SOCKET_HH
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -135,10 +136,12 @@ class Listener
     void close();
 
     const Endpoint &boundEndpoint() const { return bound_; }
-    bool listening() const { return fd_ >= 0; }
+    bool listening() const { return fd_.load() >= 0; }
 
   private:
-    int fd_ = -1;
+    /// Atomic: close() runs on the owner's thread while the accept
+    /// loop is still reading it.
+    std::atomic<int> fd_{-1};
     Endpoint bound_;
 };
 

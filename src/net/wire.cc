@@ -133,8 +133,7 @@ getString(std::string_view in, std::size_t &pos, std::string &s)
 std::string
 encodeFrame(const Frame &frame)
 {
-    // Per-frame versioning: only frames carrying a trace context pay
-    // the v3 prefix; everything else is byte-identical to a v2 build.
+    // Only frames carrying a trace context pay the v3 prefix.
     const bool traced = frame.trace.valid();
     std::string body;
     if (traced) {
@@ -149,7 +148,7 @@ encodeFrame(const Frame &frame)
     std::string out;
     out.reserve(frameHeaderBytes + payload.size() + frameTrailerBytes);
     putU32(out, wireMagic);
-    putU16(out, traced ? wireVersion : wireVersionBase);
+    putU16(out, traced ? wireVersion : plainFrameVersion);
     putU16(out, static_cast<std::uint16_t>(frame.type));
     putU64(out, frame.id);
     putU32(out, static_cast<std::uint32_t>(payload.size()));
@@ -211,7 +210,8 @@ FrameReader::next(Frame &out, Error &error)
                           "frame magic mismatch");
         return Status::Corrupt;
     }
-    if (version < wireVersionBase || version > wireVersion) {
+    const bool traced = version == wireVersion;
+    if (!traced && version != plainFrameVersion) {
         poisoned_ = true;
         error = makeError(ErrorCode::BadVersion,
                           "unsupported wire version " +
@@ -234,7 +234,7 @@ FrameReader::next(Frame &out, Error &error)
                               " exceeds limit");
         return Status::Corrupt;
     }
-    if (version >= 3 && length < traceContextBytes) {
+    if (traced && length < traceContextBytes) {
         poisoned_ = true;
         error = makeError(ErrorCode::BadHeader,
                           "v3 frame too short for trace context");
@@ -261,7 +261,7 @@ FrameReader::next(Frame &out, Error &error)
     out.type = static_cast<FrameType>(rawType);
     out.id = id;
     out.trace = obs::TraceContext{};
-    if (version >= 3) {
+    if (traced) {
         std::size_t ppos = 0;
         std::uint8_t flags = 0;
         getU64(payload, ppos, out.trace.traceId);
@@ -354,50 +354,6 @@ getPrediction(std::string_view in, std::size_t &pos, Prediction &pred)
 }
 
 void
-putPredictionStats(std::string &out, const PredictionStats &stats)
-{
-    putU64(out, stats.loads);
-    putU64(out, stats.lbHits);
-    putU64(out, stats.formed);
-    putU64(out, stats.formedCorrect);
-    putU64(out, stats.spec);
-    putU64(out, stats.specCorrect);
-    for (std::size_t i = 0; i < stats.specBy.size(); ++i)
-        putU64(out, stats.specBy[i]);
-    for (std::size_t i = 0; i < stats.specCorrectBy.size(); ++i)
-        putU64(out, stats.specCorrectBy[i]);
-    putU64(out, stats.bothSpec);
-    for (std::size_t i = 0; i < stats.selectorState.size(); ++i)
-        putU64(out, stats.selectorState[i]);
-    putU64(out, stats.missSelections);
-}
-
-bool
-getPredictionStats(std::string_view in, std::size_t &pos,
-                   PredictionStats &stats)
-{
-    if (!getU64(in, pos, stats.loads) ||
-        !getU64(in, pos, stats.lbHits) ||
-        !getU64(in, pos, stats.formed) ||
-        !getU64(in, pos, stats.formedCorrect) ||
-        !getU64(in, pos, stats.spec) ||
-        !getU64(in, pos, stats.specCorrect))
-        return false;
-    for (std::size_t i = 0; i < stats.specBy.size(); ++i)
-        if (!getU64(in, pos, stats.specBy[i]))
-            return false;
-    for (std::size_t i = 0; i < stats.specCorrectBy.size(); ++i)
-        if (!getU64(in, pos, stats.specCorrectBy[i]))
-            return false;
-    if (!getU64(in, pos, stats.bothSpec))
-        return false;
-    for (std::size_t i = 0; i < stats.selectorState.size(); ++i)
-        if (!getU64(in, pos, stats.selectorState[i]))
-            return false;
-    return getU64(in, pos, stats.missSelections);
-}
-
-void
 putError(std::string &out, const Error &error)
 {
     putU8(out, static_cast<std::uint8_t>(error.code()));
@@ -440,10 +396,10 @@ getError(std::string_view in, std::size_t &pos, Error &error)
 }
 
 std::string
-encodeHello(std::string_view client_name, std::uint16_t version)
+encodeHello(std::string_view client_name)
 {
     std::string out;
-    putU16(out, version);
+    putU16(out, wireVersion);
     putString(out, client_name);
     return out;
 }
@@ -459,16 +415,12 @@ decodeHello(std::string_view payload, std::uint16_t &version,
 
 std::string
 encodeHelloOk(std::string_view server_name,
-              std::uint16_t negotiated_version,
               std::uint64_t clock_epoch_unix_ns)
 {
     std::string out;
-    putU16(out, negotiated_version);
+    putU16(out, wireVersion);
     putString(out, server_name);
-    // Only a >= v3 peer knows to read the epoch; emitting it to a v2
-    // peer would fail its strict whole-payload decode.
-    if (negotiated_version >= 3)
-        putU64(out, clock_epoch_unix_ns);
+    putU64(out, clock_epoch_unix_ns);
     return out;
 }
 
@@ -478,13 +430,10 @@ decodeHelloOk(std::string_view payload, std::uint16_t &version,
               std::uint64_t &clock_epoch_unix_ns)
 {
     std::size_t pos = 0;
-    clock_epoch_unix_ns = 0;
-    if (!getU16(payload, pos, version) ||
-        !getString(payload, pos, server_name))
-        return false;
-    if (version >= 3 && !getU64(payload, pos, clock_epoch_unix_ns))
-        return false;
-    return pos == payload.size();
+    return getU16(payload, pos, version) &&
+        getString(payload, pos, server_name) &&
+        getU64(payload, pos, clock_epoch_unix_ns) &&
+        pos == payload.size();
 }
 
 std::string

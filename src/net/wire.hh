@@ -18,18 +18,20 @@
  *   payload  length bytes
  *   pcrc     u32   CRC-32 over the payload (present even when empty)
  *
- * Version is per *frame*, not per connection: a frame that carries a
- * distributed trace context (DESIGN.md §9) is encoded at version 3,
- * whose payload starts with a fixed 17-byte prefix —
+ * The header version marks the payload shape of that one frame: a
+ * frame that carries a distributed trace context (DESIGN.md §9) is
+ * encoded at version 3, whose payload starts with a fixed 17-byte
+ * prefix —
  *
  *   traceId       u64   0 is invalid (v3 frames always carry a trace)
  *   parentSpanId  u64   the sender's span, parent of the receiver's
  *   flags         u8    bit 0: sampled
  *
  * — and everything after the prefix is the ordinary typed payload.
- * Untraced frames keep encoding at version 2, byte-identical to what
- * a pre-v3 build emits, so enabling tracing cannot perturb untraced
- * traffic and old peers interoperate as long as nobody samples.
+ * Untraced frames encode at version 2 with no prefix, so enabling
+ * tracing cannot perturb untraced traffic. The protocol version
+ * itself is agreed once per connection by the Hello handshake, which
+ * accepts exactly wireVersion.
  *
  * The header carries its own CRC so a reader can reject a damaged
  * length field *before* trusting it to size a buffer; the payload CRC
@@ -64,17 +66,16 @@ namespace clap::net
 /** Frame magic: "CLNP" in little-endian byte order. */
 constexpr std::uint32_t wireMagic = 0x504e4c43u;
 
-/** Current wire protocol version. v2 added per-shard PredictionStats
- *  to StatsOk (replica divergence audits) and split the error payload
- *  into message + context chain (no re-rendered prefix). v3 added the
- *  per-frame trace-context prefix, the ObsFetch/ObsOk scrape frames,
- *  and the clock epoch in HelloOk. */
+/** The wire protocol version: the only one a Hello may carry, and
+ *  the header version of a trace-context-prefixed frame. v2 added
+ *  per-shard PredictionStats to StatsOk (replica divergence audits)
+ *  and split the error payload into message + context chain. v3 added
+ *  the per-frame trace-context prefix, the ObsFetch/ObsOk scrape
+ *  frames, and the clock epoch in HelloOk. */
 constexpr std::uint16_t wireVersion = 3;
 
-/** Oldest version this build still speaks. Untraced frames encode at
- *  this version so tracing-agnostic traffic stays byte-identical to a
- *  v2 build's. */
-constexpr std::uint16_t wireVersionBase = 2;
+/** Header version of a frame without the trace-context prefix. */
+constexpr std::uint16_t plainFrameVersion = 2;
 
 /** Bytes in the fixed frame header (magic..hcrc). */
 constexpr std::size_t frameHeaderBytes = 24;
@@ -198,10 +199,6 @@ void putPrediction(std::string &out, const Prediction &pred);
 bool getPrediction(std::string_view in, std::size_t &pos,
                    Prediction &pred);
 
-void putPredictionStats(std::string &out, const PredictionStats &stats);
-bool getPredictionStats(std::string_view in, std::size_t &pos,
-                        PredictionStats &stats);
-
 void putError(std::string &out, const Error &error);
 bool getError(std::string_view in, std::size_t &pos, Error &error);
 /// @}
@@ -209,21 +206,16 @@ bool getError(std::string_view in, std::size_t &pos, Error &error);
 /// @name Whole-payload builders for the concrete frame kinds
 /// @{
 
-/** Hello payload: protocol version + client name. The payload shape
- *  is identical at every version (the epoch travels only in HelloOk),
- *  so a v2 server sees a v3 client's Hello as well-formed and rejects
- *  it with a clean BadVersion the client can downgrade on. */
-std::string encodeHello(std::string_view client_name,
-                        std::uint16_t version = wireVersion);
+/** Hello payload: wireVersion + client name. A server refuses any
+ *  other version with BadVersion. */
+std::string encodeHello(std::string_view client_name);
 bool decodeHello(std::string_view payload, std::uint16_t &version,
                  std::string &client_name);
 
-/** HelloOk payload: the negotiated version + server name, plus — at
- *  negotiated >= 3 — the server's trace-clock epoch (unix ns, see
- *  obs::traceClockEpochUnixNs) so peers can compute clock offsets for
- *  merged timelines. */
+/** HelloOk payload: wireVersion + server name + the server's
+ *  trace-clock epoch (unix ns, see obs::traceClockEpochUnixNs), so
+ *  peers can compute clock offsets for merged timelines. */
 std::string encodeHelloOk(std::string_view server_name,
-                          std::uint16_t negotiated_version,
                           std::uint64_t clock_epoch_unix_ns);
 bool decodeHelloOk(std::string_view payload, std::uint16_t &version,
                    std::string &server_name,

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cassert>
 #include <condition_variable>
+#include <initializer_list>
 #include <optional>
 #include <stdexcept>
 #include <thread>
@@ -21,64 +22,24 @@ namespace
 {
 
 /**
- * Rendezvous for a synchronous predict(): the client blocks on
- * wait() while the shard worker computes the prediction and calls
- * complete(). Stack-allocated in predict(), so completion must (and
- * does) happen before predict() returns.
+ * Rendezvous for a synchronous predict(), stack-allocated in
+ * predict(). Both fields are guarded by the shard's responseMutex:
+ * the shard worker fills them under it and wakes the shard's
+ * responseReady only after releasing it, so it never touches a slot
+ * its client can already see — and destroy.
  */
 struct ResponseSlot
 {
-    std::mutex mutex;
-    std::condition_variable ready;
     bool done = false;
     Prediction value;
-
-    void
-    complete(const Prediction &pred)
-    {
-        {
-            std::lock_guard<std::mutex> lock(mutex);
-            value = pred;
-            done = true;
-        }
-        ready.notify_one();
-    }
-
-    Prediction
-    wait()
-    {
-        std::unique_lock<std::mutex> lock(mutex);
-        ready.wait(lock, [this] { return done; });
-        return value;
-    }
 };
 
 /// @name Serve-counter section (piggybacked on the state snapshot)
-/// Little-endian u64 stream: every PredictionStats counter followed by
-/// the shard's predicts/trains/batches/audits, so a restore rolls the
-/// serve-side tallies back to the capture point before journal replay
-/// rolls them forward again.
+/// The shard's PredictionStats in the shared codec (sim/metrics.hh)
+/// followed by its predicts/trains/batches/audits, so a restore rolls
+/// the serve-side tallies back to the capture point before journal
+/// replay rolls them forward again.
 /// @{
-
-void
-putU64(std::string &out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out += static_cast<char>((v >> (8 * i)) & 0xff);
-}
-
-bool
-getU64(std::string_view bytes, std::size_t &pos, std::uint64_t &v)
-{
-    if (bytes.size() - pos < 8)
-        return false;
-    v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(
-                 static_cast<std::uint8_t>(bytes[pos++]))
-            << (8 * i);
-    return true;
-}
 
 struct ServeCounters
 {
@@ -93,24 +54,9 @@ std::string
 encodeServeCounters(const ServeCounters &c)
 {
     std::string out;
-    putU64(out, c.stats.loads);
-    putU64(out, c.stats.lbHits);
-    putU64(out, c.stats.formed);
-    putU64(out, c.stats.formedCorrect);
-    putU64(out, c.stats.spec);
-    putU64(out, c.stats.specCorrect);
-    for (const std::uint64_t v : c.stats.specBy)
-        putU64(out, v);
-    for (const std::uint64_t v : c.stats.specCorrectBy)
-        putU64(out, v);
-    putU64(out, c.stats.bothSpec);
-    for (const std::uint64_t v : c.stats.selectorState)
-        putU64(out, v);
-    putU64(out, c.stats.missSelections);
-    putU64(out, c.predicts);
-    putU64(out, c.trains);
-    putU64(out, c.batches);
-    putU64(out, c.audits);
+    putPredictionStats(out, c.stats);
+    for (const std::uint64_t v : {c.predicts, c.trains, c.batches, c.audits})
+        putCounter(out, v);
     return out;
 }
 
@@ -118,25 +64,11 @@ bool
 decodeServeCounters(std::string_view bytes, ServeCounters &c)
 {
     std::size_t pos = 0;
-    bool good = getU64(bytes, pos, c.stats.loads) &&
-                getU64(bytes, pos, c.stats.lbHits) &&
-                getU64(bytes, pos, c.stats.formed) &&
-                getU64(bytes, pos, c.stats.formedCorrect) &&
-                getU64(bytes, pos, c.stats.spec) &&
-                getU64(bytes, pos, c.stats.specCorrect);
-    for (std::uint64_t &v : c.stats.specBy)
-        good = good && getU64(bytes, pos, v);
-    for (std::uint64_t &v : c.stats.specCorrectBy)
-        good = good && getU64(bytes, pos, v);
-    good = good && getU64(bytes, pos, c.stats.bothSpec);
-    for (std::uint64_t &v : c.stats.selectorState)
-        good = good && getU64(bytes, pos, v);
-    good = good && getU64(bytes, pos, c.stats.missSelections) &&
-           getU64(bytes, pos, c.predicts) &&
-           getU64(bytes, pos, c.trains) &&
-           getU64(bytes, pos, c.batches) &&
-           getU64(bytes, pos, c.audits);
-    return good && pos == bytes.size();
+    return getPredictionStats(bytes, pos, c.stats) &&
+           getCounter(bytes, pos, c.predicts) &&
+           getCounter(bytes, pos, c.trains) &&
+           getCounter(bytes, pos, c.batches) &&
+           getCounter(bytes, pos, c.audits) && pos == bytes.size();
 }
 
 /** Caller-section id for the serve counters. */
@@ -184,6 +116,12 @@ struct PredictionService::Shard
     std::atomic<bool> quarantined{false};
     std::atomic<std::uint64_t> unavailable{0};
     std::atomic<bool> killNextBatch{false}; ///< chaos: injected throw
+    /// @}
+
+    /// @name Predict rendezvous (see ResponseSlot)
+    /// @{
+    std::mutex responseMutex;
+    std::condition_variable responseReady;
     /// @}
 
     mutable std::mutex mutex;
@@ -316,10 +254,14 @@ PredictionService::predict(const LoadInfo &info)
     request.slot = &slot;
     request.trace = obs::currentTraceContext();
     request.enqueueNs = obs::stageNowNs();
-    if (auto submitted = submit(std::move(request), shardOf(info.pc));
+    const unsigned shard_index = shardOf(info.pc);
+    if (auto submitted = submit(std::move(request), shard_index);
         !submitted)
         return std::move(submitted.error()).withContext("predict");
-    return slot.wait();
+    Shard &shard = *shards_[shard_index];
+    std::unique_lock<std::mutex> lock(shard.responseMutex);
+    shard.responseReady.wait(lock, [&slot] { return slot.done; });
+    return slot.value;
 }
 
 Expected<void>
@@ -502,16 +444,22 @@ PredictionService::processBatch(Shard &shard,
     batches.add();
     batchSize.record(batch.size());
     queueDepth.record(shard.queue.depth());
-    for (auto &[slot, pred] : responses)
-        slot->complete(pred);
-    // Requests the throwing batch never reached: complete their
-    // rendezvous unspeculated so no client hangs on a failed shard.
+    // Requests the throwing batch never reached: answer them
+    // unspeculated so no client hangs on a failed shard.
     for (Request &request : batch) {
-        if (!request.isTrain && request.slot != nullptr) {
-            request.slot->complete(Prediction{});
-            request.slot = nullptr;
+        if (!request.isTrain && request.slot != nullptr)
+            responses.emplace_back(request.slot, Prediction{});
+    }
+    if (responses.empty())
+        return;
+    {
+        std::lock_guard<std::mutex> lock(shard.responseMutex);
+        for (auto &[slot, pred] : responses) {
+            slot->value = pred;
+            slot->done = true;
         }
     }
+    shard.responseReady.notify_all();
 }
 
 std::size_t

@@ -12,6 +12,8 @@
 
 #include <array>
 #include <cstdint>
+#include <string>
+#include <string_view>
 
 #include "core/predictor.hh"
 #include "util/stats.hh"
@@ -79,6 +81,25 @@ struct PredictionStats
         missSelections += other.missSelections;
     }
 };
+
+/// @name Byte codec
+/// The one layout of PredictionStats on the wire (StatsOk) and in a
+/// shard snapshot's serve-counter section: every counter as a
+/// little-endian u64, in declaration order.
+/// @{
+
+/** Append one counter as a little-endian u64. */
+void putCounter(std::string &out, std::uint64_t v);
+
+/** Read one little-endian u64 at @p pos; false if too few bytes. */
+bool getCounter(std::string_view in, std::size_t &pos, std::uint64_t &v);
+
+void putPredictionStats(std::string &out, const PredictionStats &stats);
+
+/** Read every counter at @p pos; false if the bytes run out. */
+bool getPredictionStats(std::string_view in, std::size_t &pos,
+                        PredictionStats &stats);
+/// @}
 
 /**
  * Tally one resolved prediction into @p stats: the load's actual

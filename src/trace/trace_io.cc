@@ -88,14 +88,13 @@ decodeRecord(const std::uint8_t *buf, TraceRecord &rec)
 }
 
 bool
-writeHeader(std::FILE *file, const std::string &name,
-            std::uint32_t version, std::uint64_t count,
+writeHeader(std::FILE *file, const std::string &name, std::uint64_t count,
             long &count_offset)
 {
     if (std::fwrite(traceMagic, 1, 8, file) != 8)
         return false;
     std::uint8_t buf[8];
-    putU32(buf, version);
+    putU32(buf, traceFormatVersion);
     if (std::fwrite(buf, 1, 4, file) != 4)
         return false;
     count_offset = std::ftell(file);
@@ -136,17 +135,10 @@ struct FileCloser
 
 } // namespace
 
-bool
+Expected<void>
 writeTrace(const Trace &trace, const std::string &path)
 {
-    return static_cast<bool>(writeTrace(trace, path, {}));
-}
-
-Expected<void>
-writeTrace(const Trace &trace, const std::string &path,
-           const TraceWriteOptions &options)
-{
-    TraceFileWriter writer(path, trace.name(), options.version);
+    TraceFileWriter writer(path, trace.name());
     for (const auto &rec : trace.records())
         writer.append(rec);
     if (auto result = writer.finish(); !result) {
@@ -219,12 +211,12 @@ readTrace(const std::string &path, Trace &trace,
         return failWith(ioError("cannot read version"));
     TraceReadResult result;
     result.version = getU32(buf);
-    if (result.version != traceFormatVersionV1 &&
-        result.version != traceFormatVersion) {
+    if (result.version != traceFormatVersion) {
         return failWith(makeError(
             ErrorCode::BadVersion,
             "unsupported format version " +
-                std::to_string(result.version) + " (readable: 1, 2)"));
+                std::to_string(result.version) + " (readable: " +
+                std::to_string(traceFormatVersion) + ")"));
     }
 
     if (std::fread(buf, 1, 8, file) != 8)
@@ -255,12 +247,10 @@ readTrace(const std::string &path, Trace &trace,
 
     // Cross-check the declared count against the bytes actually
     // present before reserving anything.
-    const std::uint64_t footer =
-        result.version >= traceFormatVersion ? footerBytes : 0;
     const std::uint64_t payload = file_size - header_size;
     const std::uint64_t room =
-        payload >= footer ? (payload - footer) / recordBytes
-                          : payload / recordBytes;
+        payload >= footerBytes ? (payload - footerBytes) / recordBytes
+                               : payload / recordBytes;
     const bool count_fits = result.declared <= room;
     if (!count_fits && !options.salvage) {
         return failWith(makeError(
@@ -306,11 +296,10 @@ readTrace(const std::string &path, Trace &trace,
     result.records = loaded;
     result.salvaged = loaded != result.declared;
 
-    // v2 integrity footer. A complete, healthy read must match; in
+    // Integrity footer. A complete, healthy read must match; in
     // salvage mode a mismatch only flags the result as salvaged
     // (there is no way to locate the damaged record).
-    if (result.version >= traceFormatVersion && !result.salvaged &&
-        options.verifyChecksum) {
+    if (!result.salvaged && options.verifyChecksum) {
         if (std::fread(buf, 1, footerBytes, file) != footerBytes) {
             if (!options.salvage) {
                 return failWith(makeError(ErrorCode::Truncated,
@@ -333,17 +322,9 @@ readTrace(const std::string &path, Trace &trace,
 }
 
 TraceFileWriter::TraceFileWriter(const std::string &path,
-                                 const std::string &name,
-                                 std::uint32_t version)
-    : path_(path), version_(version)
+                                 const std::string &name)
+    : path_(path)
 {
-    if (version_ != traceFormatVersionV1 &&
-        version_ != traceFormatVersion) {
-        fail(makeError(ErrorCode::InvalidArgument,
-                       "unsupported trace format version " +
-                           std::to_string(version_)));
-        return;
-    }
     if (name.size() > maxTraceNameLen) {
         fail(makeError(ErrorCode::InvalidArgument,
                        "trace name length " +
@@ -358,7 +339,7 @@ TraceFileWriter::TraceFileWriter(const std::string &path,
         fail(ioError("cannot open for writing"));
         return;
     }
-    if (!writeHeader(file_, name, version_, 0, countOffset_)) {
+    if (!writeHeader(file_, name, 0, countOffset_)) {
         fail(ioError("cannot write header"));
         discard();
     }
@@ -402,13 +383,10 @@ TraceFileWriter::finish()
         return error_;
     }
 
-    bool write_ok = true;
     std::uint8_t buf[8];
-    if (version_ >= traceFormatVersion) {
-        putU32(buf, crc_.value());
-        write_ok = std::fwrite(buf, 1, footerBytes, file_) ==
-            footerBytes;
-    }
+    putU32(buf, crc_.value());
+    bool write_ok =
+        std::fwrite(buf, 1, footerBytes, file_) == footerBytes;
     if (write_ok && std::fseek(file_, countOffset_, SEEK_SET) == 0) {
         putU64(buf, count_);
         write_ok = std::fwrite(buf, 1, 8, file_) == 8;

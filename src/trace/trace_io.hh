@@ -5,13 +5,13 @@
  * portable across compilers regardless of struct padding:
  *
  *   magic   "CLAPTRC\0"          8 bytes
- *   version u32                  (1 = legacy, 2 = current)
+ *   version u32                  (2; any other value is BadVersion)
  *   count   u64                  number of records
  *   name    u32 length + bytes   (length <= maxTraceNameLen)
  *   records count * 40 bytes     (pc, effAddr, target, immOffset,
  *                                 cls, srcA, srcB, dst, memSize, taken,
  *                                 2 pad bytes)
- *   footer  u32 CRC-32           (v2 only; over all record bytes)
+ *   footer  u32 CRC-32           (over all record bytes)
  *
  * Robustness guarantees (see DESIGN.md "Error handling & fault
  * model"):
@@ -23,13 +23,16 @@
  *  - every record's instruction-class byte is range-validated, so a
  *    corrupt record cannot propagate an invalid enum into the
  *    simulators;
- *  - v2 files carry a CRC-32 footer over the record payload;
+ *  - every file carries a CRC-32 footer over the record payload;
  *  - a salvage mode recovers the valid record prefix of a truncated
- *    or tail-corrupted file;
- *  - v1 files (no footer) remain fully readable.
+ *    or tail-corrupted file.
  *
- * The Expected-returning overloads are the primary API and report
- * precise diagnostics; the bool overloads are compatibility wrappers.
+ * Traces are regenerated from their seeds, so the footer-less v1
+ * format is not read: its header is a BadVersion like any other.
+ *
+ * The Expected-returning functions are the primary API and report
+ * precise diagnostics; the bool readTrace overload is a compatibility
+ * wrapper.
  */
 
 #ifndef CLAP_TRACE_TRACE_IO_HH
@@ -46,11 +49,8 @@
 namespace clap
 {
 
-/** Current on-disk format version (CRC-32 footer). */
+/** The on-disk format version (CRC-32 footer). */
 constexpr std::uint32_t traceFormatVersion = 2;
-
-/** Legacy footer-less format, still readable. */
-constexpr std::uint32_t traceFormatVersionV1 = 1;
 
 /** Header sanity bound on the embedded trace-name length. */
 constexpr std::uint32_t maxTraceNameLen = 4096;
@@ -65,7 +65,7 @@ struct TraceReadOptions
     /// TraceReadResult::salvaged set.
     bool salvage = false;
 
-    /// Verify the v2 CRC-32 footer (ignored for v1 files).
+    /// Verify the CRC-32 footer.
     bool verifyChecksum = true;
 };
 
@@ -78,27 +78,11 @@ struct TraceReadResult
     bool salvaged = false;      ///< prefix recovery was applied
 };
 
-/** Options for the Expected-returning writeTrace overload. */
-struct TraceWriteOptions
-{
-    /// On-disk version to emit: traceFormatVersion (default) or
-    /// traceFormatVersionV1 for legacy consumers.
-    std::uint32_t version = traceFormatVersion;
-};
-
 /**
- * Write @p trace to @p path.
- * @return true on success, false on any I/O failure. A failed write
- *         does not leave a partial file behind.
+ * Write @p trace to @p path, with a precise diagnostic on failure. A
+ * failed write unlinks the output, so no partial file is left behind.
  */
-bool writeTrace(const Trace &trace, const std::string &path);
-
-/**
- * Write @p trace to @p path with explicit options and a precise
- * diagnostic on failure. A failed write unlinks the output.
- */
-Expected<void> writeTrace(const Trace &trace, const std::string &path,
-                          const TraceWriteOptions &options);
+Expected<void> writeTrace(const Trace &trace, const std::string &path);
 
 /**
  * Read a trace file written by writeTrace().
@@ -115,7 +99,7 @@ bool readTrace(const std::string &path, Trace &trace);
  *         failure), BadMagic, BadVersion, BadHeader (field out of
  *         sanity bounds), Truncated (file shorter than the header
  *         promises), BadRecord (invalid class byte), or BadChecksum
- *         (v2 CRC mismatch). On error @p trace is left cleared.
+ *         (CRC mismatch). On error @p trace is left cleared.
  */
 Expected<TraceReadResult> readTrace(const std::string &path, Trace &trace,
                                     const TraceReadOptions &options);
@@ -130,15 +114,13 @@ Expected<TraceReadResult> salvageTrace(const std::string &path,
 /**
  * Streaming writer: a TraceSink that appends records directly to a
  * file without buffering the whole trace in memory. The record count
- * in the header (and, for v2, the CRC-32 footer) is patched on
- * close. If any append or the close itself fails, the output file is
+ * in the header is patched and the CRC-32 footer written on close. If any append or the close itself fails, the output file is
  * unlinked so no corrupt partial file is left on disk.
  */
 class TraceFileWriter : public TraceSink
 {
   public:
-    TraceFileWriter(const std::string &path, const std::string &name,
-                    std::uint32_t version = traceFormatVersion);
+    TraceFileWriter(const std::string &path, const std::string &name);
     ~TraceFileWriter() override;
 
     TraceFileWriter(const TraceFileWriter &) = delete;
@@ -152,7 +134,7 @@ class TraceFileWriter : public TraceSink
     std::size_t size() const override { return count_; }
 
     /**
-     * Patch the header count, write the v2 CRC footer, and close the
+     * Patch the header count, write the CRC footer, and close the
      * file. On any failure (including earlier append failures) the
      * output file is removed and the Error describes the first thing
      * that went wrong.
@@ -170,7 +152,6 @@ class TraceFileWriter : public TraceSink
     void discard();
 
     std::string path_;
-    std::uint32_t version_;
     std::FILE *file_ = nullptr;
     std::size_t count_ = 0;
     long countOffset_ = 0;

@@ -378,27 +378,31 @@ TEST(NetServerClient, HelloVersionMismatchIsARefusedHandshake)
 
     auto parsed = parseEndpoint(endpoint);
     ASSERT_TRUE(parsed);
-    auto raw = connectEndpoint(*parsed, 1000);
-    ASSERT_TRUE(raw);
 
-    // A well-formed Hello claiming a future wire version.
-    std::string payload;
-    putU16(payload, wireVersion + 7);
-    putString(payload, "time-traveller");
-    Frame hello;
-    hello.type = FrameType::Hello;
-    hello.id = 1;
-    hello.payload = payload;
-    const std::string bytes = encodeFrame(hello);
-    ASSERT_TRUE((*raw)->sendAll(bytes.data(), bytes.size(), 1000));
+    // Well-formed Hellos claiming a future version and the retired
+    // v2: the server speaks exactly wireVersion and refuses both.
+    const std::uint16_t refused[] = {wireVersion + 7, 2};
+    for (const std::uint16_t version : refused) {
+        auto raw = connectEndpoint(*parsed, 1000);
+        ASSERT_TRUE(raw);
+        std::string payload;
+        putU16(payload, version);
+        putString(payload, "time-traveller");
+        Frame hello;
+        hello.type = FrameType::Hello;
+        hello.id = 1;
+        hello.payload = payload;
+        const std::string bytes = encodeFrame(hello);
+        ASSERT_TRUE((*raw)->sendAll(bytes.data(), bytes.size(), 1000));
 
-    auto reply = readFrame(**raw, 2000);
-    ASSERT_TRUE(reply) << reply.error().str();
-    EXPECT_EQ(reply->type, FrameType::ErrorReply);
-    EXPECT_EQ(reply->id, 1u);
-    Error remote;
-    ASSERT_TRUE(decodeErrorPayload(reply->payload, remote));
-    EXPECT_EQ(remote.code(), ErrorCode::BadVersion);
+        auto reply = readFrame(**raw, 2000);
+        ASSERT_TRUE(reply) << reply.error().str();
+        EXPECT_EQ(reply->type, FrameType::ErrorReply) << version;
+        EXPECT_EQ(reply->id, 1u);
+        Error remote;
+        ASSERT_TRUE(decodeErrorPayload(reply->payload, remote));
+        EXPECT_EQ(remote.code(), ErrorCode::BadVersion) << version;
+    }
 }
 
 // --- Client retry policy ------------------------------------------
@@ -777,7 +781,7 @@ TEST(NetChaosDeterminism, SameSeedSameFaultScheduleSameCounters)
     EXPECT_EQ(run2.client.wrongReplies, 0u);
 }
 
-// --- Wire version negotiation (v2 <-> v3) -------------------------
+// --- Wire version handshake + trace propagation -------------------
 
 TEST(NetVersion, HandshakeNegotiatesCurrentVersionByDefault)
 {
@@ -788,64 +792,12 @@ TEST(NetVersion, HandshakeNegotiatesCurrentVersionByDefault)
     config.endpoint = endpoint;
     NetClient client(config);
     ASSERT_TRUE(client.ping());
-    EXPECT_EQ(client.negotiatedVersion(), wireVersion);
-    EXPECT_EQ(client.counters().helloDowngrades, 0u);
+    EXPECT_EQ(client.counters().connects, 1u);
+    EXPECT_EQ(client.counters().connectFailures, 0u);
     // Both epochs were stamped in this process moments apart, so the
     // epoch-derived clock offset must be far under a second.
     EXPECT_LT(client.serverClockOffsetNs(), 1'000'000'000ll);
     EXPECT_GT(client.serverClockOffsetNs(), -1'000'000'000ll);
-}
-
-TEST(NetVersion, OldClientSpeaksBaseVersionToNewServer)
-{
-    const std::string endpoint = udsEndpoint("oldclient");
-    TestGateway gateway(endpoint);
-
-    // A client capped at the base version is what a pre-v3 build
-    // looks like on the wire: the server must accept it first try.
-    ClientConfig config;
-    config.endpoint = endpoint;
-    config.maxWireVersion = wireVersionBase;
-    NetClient client(config);
-    ASSERT_TRUE(client.ping());
-    EXPECT_EQ(client.negotiatedVersion(), wireVersionBase);
-    EXPECT_EQ(client.counters().helloDowngrades, 0u);
-    EXPECT_EQ(client.serverClockOffsetNs(), 0); // no epoch below v3
-
-    const LoadInfo info = client.makeInfo(0x1000, 0);
-    auto pred = client.predict(info);
-    ASSERT_TRUE(pred) << pred.error().str();
-    EXPECT_TRUE(client.train(info, 0x2000, *pred));
-}
-
-TEST(NetVersion, NewClientDowngradesToOldServer)
-{
-    PredictionService service(TestGateway::makeConfig(1),
-                              testHybridFactory());
-    const std::string endpoint = udsEndpoint("oldserver");
-    ServerConfig server_config;
-    server_config.endpoint = endpoint;
-    server_config.maxWireVersion = wireVersionBase;
-    NetServer server(service, nullptr, server_config);
-    ASSERT_TRUE(server.start());
-
-    // The v3 client's first Hello draws BadVersion; it must re-Hello
-    // at the base version on the same connection attempt and carry on.
-    ClientConfig config;
-    config.endpoint = endpoint;
-    NetClient client(config);
-    ASSERT_TRUE(client.ping());
-    EXPECT_EQ(client.negotiatedVersion(), wireVersionBase);
-    EXPECT_EQ(client.counters().helloDowngrades, 1u);
-
-    const LoadInfo info = client.makeInfo(0x1000, 0);
-    auto pred = client.predict(info);
-    ASSERT_TRUE(pred) << pred.error().str();
-    EXPECT_TRUE(client.train(info, 0x2000, *pred));
-    EXPECT_EQ(client.counters().wrongReplies, 0u);
-
-    server.stop();
-    service.stop();
 }
 
 TEST(NetVersion, SampledAmbientContextRidesTheRequest)

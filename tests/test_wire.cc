@@ -668,23 +668,21 @@ TEST(WireCodec, FrameTypeNamesAreExhaustive)
 
 TEST(WireCodec, HelloOkEpochTravelsOnlyAtV3)
 {
-    // A v2-negotiated HelloOk must not append the epoch (a strict v2
-    // decoder rejects trailing bytes); a v3 one must round-trip it.
+    // HelloOk exists only at v3 and always round-trips the epoch; a
+    // v2-shaped reply (version + name, no epoch) is malformed.
     std::uint16_t version = 0;
     std::string name;
-    std::uint64_t epoch = ~std::uint64_t{0};
-    ASSERT_TRUE(decodeHelloOk(
-        encodeHelloOk("srv", wireVersionBase, 0x1234567890abcdefull),
-        version, name, epoch));
-    EXPECT_EQ(version, wireVersionBase);
-    EXPECT_EQ(name, "srv");
-    EXPECT_EQ(epoch, 0u); // not encoded at v2
-
-    ASSERT_TRUE(decodeHelloOk(
-        encodeHelloOk("srv", wireVersion, 0x1234567890abcdefull),
-        version, name, epoch));
+    std::uint64_t epoch = 0;
+    ASSERT_TRUE(decodeHelloOk(encodeHelloOk("srv", 0x1234567890abcdefull),
+                              version, name, epoch));
     EXPECT_EQ(version, wireVersion);
+    EXPECT_EQ(name, "srv");
     EXPECT_EQ(epoch, 0x1234567890abcdefull);
+
+    std::string v2Shaped;
+    putU16(v2Shaped, 2);
+    putString(v2Shaped, "srv");
+    EXPECT_FALSE(decodeHelloOk(v2Shaped, version, name, epoch));
 }
 
 TEST(WireCodec, ObsFetchRoundTripsTimingFlag)
@@ -704,11 +702,11 @@ TEST(WireCodec, ObsFetchRoundTripsTimingFlag)
 TEST(WireTrace, UntracedFrameStaysByteIdenticalToV2)
 {
     // The tracing-neutrality contract: a frame without a trace
-    // context encodes at wireVersionBase with no prefix, so enabling
+    // context encodes at plainFrameVersion with no prefix, so enabling
     // tracing in the build cannot perturb untraced traffic.
     const Frame frame = sampleFrame();
     const std::string wire = encodeFrame(frame);
-    EXPECT_EQ(static_cast<unsigned char>(wire[4]), wireVersionBase);
+    EXPECT_EQ(static_cast<unsigned char>(wire[4]), plainFrameVersion);
     EXPECT_EQ(static_cast<unsigned char>(wire[5]), 0u);
     EXPECT_EQ(wire.size(), frameHeaderBytes + frame.payload.size() +
                                frameTrailerBytes);
