@@ -25,47 +25,32 @@ struct PfResults
     std::vector<SuiteStats> decoupled;
 };
 
-const PfResults &
+PfResults
 results()
 {
-    static const PfResults cached = [] {
-        const std::size_t len = defaultTraceLength();
-        PfResults r;
-        r.with = sweepPerSuite("pf_on", capFactory(), {}, len);
-        PredictorFactory no_pf = [] {
-            CapPredictorConfig config;
-            config.cap.pfBits = 0;
-            return std::make_unique<CapPredictor>(config);
-        };
-        r.without = sweepPerSuite("pf_off", no_pf, {}, len);
-        PredictorFactory decoupled_pf = [] {
-            CapPredictorConfig config;
-            config.cap.pfTableBits = 16;
-            return std::make_unique<CapPredictor>(config);
-        };
-        r.decoupled =
-            sweepPerSuite("pf_decoupled", decoupled_pf, {}, len);
-        return r;
-    }();
-    return cached;
+    const std::size_t len = defaultTraceLength();
+    PfResults r;
+    r.with = sweepPerSuite("pf_on", capFactory(), {}, len);
+    PredictorFactory no_pf = [] {
+        CapPredictorConfig config;
+        config.cap.pfBits = 0;
+        return std::make_unique<CapPredictor>(config);
+    };
+    r.without = sweepPerSuite("pf_off", no_pf, {}, len);
+    PredictorFactory decoupled_pf = [] {
+        CapPredictorConfig config;
+        config.cap.pfTableBits = 16;
+        return std::make_unique<CapPredictor>(config);
+    };
+    r.decoupled =
+        sweepPerSuite("pf_decoupled", decoupled_pf, {}, len);
+    return r;
 }
-
-void
-BM_AblationPf(benchmark::State &state)
-{
-    for (auto _ : state)
-        benchmark::DoNotOptimize(&results());
-    state.counters["pf_on_rate"] =
-        results().with.back().stats.predictionRate();
-    state.counters["pf_off_rate"] =
-        results().without.back().stats.predictionRate();
-}
-BENCHMARK(BM_AblationPf)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 void
 printResults()
 {
-    const auto &r = results();
+    const auto r = results();
     Table table;
     table.row({"suite", "pf_on_rate", "pf_off_rate", "pf_decoup_rate",
                "pf_on_acc", "pf_off_acc", "pf_decoup_acc"});

@@ -338,52 +338,33 @@ checkCell(const ChaosCell &cell)
     }
 }
 
-const std::vector<ChaosCell> &
+std::vector<ChaosCell>
 results()
 {
-    static const std::vector<ChaosCell> cached = [] {
-        std::vector<ChaosCell> cells;
-        const std::vector<TraceSpec> specs = chaosSpecs();
-        std::uint64_t cellSalt = 0;
-        for (const bool ladder : {false, true}) {
-            const std::string phase = ladder ? "ladder" : "equality";
-            for (const auto &spec : specs) {
-                const std::uint64_t seed =
-                    chaosSeed ^ (0x9e3779b97f4a7c15ull * ++cellSalt);
-                auto trace =
-                    globalTraceStore().get(spec, defaultTraceLength());
-                auto cell = runChaosCell(phase, spec, trace, ladder,
-                                         seed);
-                if (!cell) {
-                    BenchState::instance().failures.push_back(
-                        {"chaos/" + phase + "/" + spec.name,
-                         cell.error().str()});
-                    continue;
-                }
-                checkCell(*cell);
-                cells.push_back(std::move(*cell));
+    std::vector<ChaosCell> cells;
+    const std::vector<TraceSpec> specs = chaosSpecs();
+    std::uint64_t cellSalt = 0;
+    for (const bool ladder : {false, true}) {
+        const std::string phase = ladder ? "ladder" : "equality";
+        for (const auto &spec : specs) {
+            const std::uint64_t seed =
+                chaosSeed ^ (0x9e3779b97f4a7c15ull * ++cellSalt);
+            auto trace =
+                globalTraceStore().get(spec, defaultTraceLength());
+            auto cell = runChaosCell(phase, spec, trace, ladder,
+                                     seed);
+            if (!cell) {
+                BenchState::instance().failures.push_back(
+                    {"chaos/" + phase + "/" + spec.name,
+                     cell.error().str()});
+                continue;
             }
+            checkCell(*cell);
+            cells.push_back(std::move(*cell));
         }
-        return cells;
-    }();
-    return cached;
-}
-
-void
-BM_Chaos(benchmark::State &state)
-{
-    for (auto _ : state)
-        benchmark::DoNotOptimize(&results());
-    std::uint64_t cycles = 0;
-    std::uint64_t recoveries = 0;
-    for (const ChaosCell &cell : results()) {
-        cycles += cell.cycles;
-        recoveries += cell.sup.recoveries;
     }
-    state.counters["cycles"] = static_cast<double>(cycles);
-    state.counters["recoveries"] = static_cast<double>(recoveries);
+    return cells;
 }
-BENCHMARK(BM_Chaos)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 void
 printResults()
@@ -430,31 +411,12 @@ printResults()
                 "not equality\n");
 }
 
-/** Strip the bench_chaos-specific flags (google-benchmark rejects
- *  flags it does not know). */
-void
-parseChaosFlags(int &argc, char **argv)
-{
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const std::string prefix = "--chaos-seed=";
-        if (arg.compare(0, prefix.size(), prefix) == 0) {
-            chaosSeed = std::strtoull(
-                arg.c_str() + prefix.size(), nullptr, 0);
-            continue;
-        }
-        argv[out++] = argv[i];
-    }
-    argc = out;
-    argv[argc] = nullptr;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    parseChaosFlags(argc, argv);
-    return clap::bench::benchMain("chaos", argc, argv, printResults);
+    using namespace clap::bench;
+    return benchMain("chaos", argc, argv, printResults,
+                     {seedFlag("--chaos-seed", chaosSeed)});
 }

@@ -29,49 +29,31 @@ struct ControlResults
     std::vector<SuiteStats> cap;
 };
 
-const ControlResults &
+ControlResults
 results()
 {
-    static const ControlResults cached = [] {
-        const std::size_t len = defaultTraceLength();
-        ControlResults r;
-        PredictorFactory gshare_factory = [] {
-            ControlPredictorConfig config;
-            config.usePathHistory = false;
-            return std::make_unique<ControlAddressPredictor>(config);
-        };
-        PredictorFactory path_factory = [] {
-            ControlPredictorConfig config;
-            config.usePathHistory = true;
-            return std::make_unique<ControlAddressPredictor>(config);
-        };
-        r.gshare = sweepPerSuite("gshare", gshare_factory, {}, len);
-        r.path = sweepPerSuite("path", path_factory, {}, len);
-        r.cap = sweepPerSuite("cap", capFactory(), {}, len);
-        return r;
-    }();
-    return cached;
+    const std::size_t len = defaultTraceLength();
+    ControlResults r;
+    PredictorFactory gshare_factory = [] {
+        ControlPredictorConfig config;
+        config.usePathHistory = false;
+        return std::make_unique<ControlAddressPredictor>(config);
+    };
+    PredictorFactory path_factory = [] {
+        ControlPredictorConfig config;
+        config.usePathHistory = true;
+        return std::make_unique<ControlAddressPredictor>(config);
+    };
+    r.gshare = sweepPerSuite("gshare", gshare_factory, {}, len);
+    r.path = sweepPerSuite("path", path_factory, {}, len);
+    r.cap = sweepPerSuite("cap", capFactory(), {}, len);
+    return r;
 }
-
-void
-BM_ControlBased(benchmark::State &state)
-{
-    for (auto _ : state)
-        benchmark::DoNotOptimize(&results());
-    state.counters["gshare_correct"] =
-        results().gshare.back().stats.correctOfAllLoads();
-    state.counters["path_correct"] =
-        results().path.back().stats.correctOfAllLoads();
-    state.counters["cap_correct"] =
-        results().cap.back().stats.correctOfAllLoads();
-}
-BENCHMARK(BM_ControlBased)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
 
 void
 printResults()
 {
-    const auto &r = results();
+    const auto r = results();
     Table table;
     table.row({"suite", "gshare_corr", "path_corr", "cap_corr"});
     for (std::size_t i = 0; i < r.cap.size(); ++i) {

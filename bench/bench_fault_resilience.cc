@@ -100,74 +100,58 @@ faultJob(const std::string &key, const TraceSpec &spec,
     return job;
 }
 
-const std::vector<SweepPoint> &
+std::vector<SweepPoint>
 results()
 {
-    static const std::vector<SweepPoint> cached = [] {
-        const std::vector<TraceSpec> specs = sweepSpecs();
-        std::vector<SweepJob> jobs;
-        for (std::size_t i = 0; i < std::size(rates); ++i) {
-            const std::string prefix =
-                "rate" + std::to_string(static_cast<unsigned long long>(
-                             rates[i]));
-            for (const auto &spec : specs) {
-                jobs.push_back(faultJob(
-                    prefix + "/naive/" + spec.name, spec,
-                    naiveConfig(), rates[i]));
-                jobs.push_back(faultJob(
-                    prefix + "/enhanced/" + spec.name, spec,
-                    CapPredictorConfig{}, rates[i]));
-            }
+    const std::vector<TraceSpec> specs = sweepSpecs();
+    std::vector<SweepJob> jobs;
+    for (std::size_t i = 0; i < std::size(rates); ++i) {
+        const std::string prefix =
+            "rate" + std::to_string(static_cast<unsigned long long>(
+                         rates[i]));
+        for (const auto &spec : specs) {
+            jobs.push_back(faultJob(
+                prefix + "/naive/" + spec.name, spec,
+                naiveConfig(), rates[i]));
+            jobs.push_back(faultJob(
+                prefix + "/enhanced/" + spec.name, spec,
+                CapPredictorConfig{}, rates[i]));
         }
+    }
 
-        const SweepReport report = runSweepJobs(jobs);
+    const SweepReport report = runSweepJobs(jobs);
 
-        // Fold outcomes back into per-rate points; failed cells
-        // contribute nothing (graceful degradation) and appear in the
-        // harness failure list instead.
-        std::vector<SweepPoint> points(std::size(rates));
-        const std::size_t per_rate = 2 * specs.size();
-        for (std::size_t j = 0; j < report.outcomes.size(); ++j) {
-            const JobOutcome &outcome = report.outcomes[j];
-            if (!outcome.ok)
-                continue;
-            SweepPoint &point = points[j / per_rate];
-            const bool naive = (j % 2) == 0;
-            if (naive) {
-                point.naive.merge(outcome.result.stats);
-                point.naiveFaults += outcome.result.faults;
-            } else {
-                point.enhanced.merge(outcome.result.stats);
-                point.enhancedFaults += outcome.result.faults;
-            }
+    // Fold outcomes back into per-rate points; failed cells
+    // contribute nothing (graceful degradation) and appear in the
+    // harness failure list instead.
+    std::vector<SweepPoint> points(std::size(rates));
+    const std::size_t per_rate = 2 * specs.size();
+    for (std::size_t j = 0; j < report.outcomes.size(); ++j) {
+        const JobOutcome &outcome = report.outcomes[j];
+        if (!outcome.ok)
+            continue;
+        SweepPoint &point = points[j / per_rate];
+        const bool naive = (j % 2) == 0;
+        if (naive) {
+            point.naive.merge(outcome.result.stats);
+            point.naiveFaults += outcome.result.faults;
+        } else {
+            point.enhanced.merge(outcome.result.stats);
+            point.enhancedFaults += outcome.result.faults;
         }
-        return points;
-    }();
-    return cached;
+    }
+    return points;
 }
-
-void
-BM_FaultResilience(benchmark::State &state)
-{
-    for (auto _ : state)
-        benchmark::DoNotOptimize(&results());
-    const SweepPoint &worst = results().back();
-    state.counters["naive_mispred_10k"] =
-        worst.naive.mispredictionRate();
-    state.counters["enhanced_mispred_10k"] =
-        worst.enhanced.mispredictionRate();
-}
-BENCHMARK(BM_FaultResilience)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
 
 void
 printResults()
 {
+    const std::vector<SweepPoint> points = results();
     Table table;
     table.row({"faults/M", "injected", "naive_cover", "naive_mispred",
                "enh_cover", "enh_mispred"});
     for (std::size_t i = 0; i < std::size(rates); ++i) {
-        const SweepPoint &point = results()[i];
+        const SweepPoint &point = points[i];
         table.newRow();
         table.cell(std::to_string(
             static_cast<unsigned long long>(rates[i])));

@@ -27,36 +27,21 @@ struct Fig5Results
     std::vector<SuiteStats> hybrid;
 };
 
-const Fig5Results &
+Fig5Results
 results()
 {
-    static const Fig5Results cached = [] {
-        const std::size_t len = defaultTraceLength();
-        Fig5Results r;
-        r.stride = sweepPerSuite("stride", strideFactory(), {}, len);
-        r.cap = sweepPerSuite("cap", capFactory(), {}, len);
-        r.hybrid = sweepPerSuite("hybrid", hybridFactory(), {}, len);
-        return r;
-    }();
-    return cached;
+    const std::size_t len = defaultTraceLength();
+    Fig5Results r;
+    r.stride = sweepPerSuite("stride", strideFactory(), {}, len);
+    r.cap = sweepPerSuite("cap", capFactory(), {}, len);
+    r.hybrid = sweepPerSuite("hybrid", hybridFactory(), {}, len);
+    return r;
 }
-
-void
-BM_Fig05_Predictors(benchmark::State &state)
-{
-    for (auto _ : state)
-        benchmark::DoNotOptimize(&results());
-    const auto &avg_hybrid = results().hybrid.back().stats;
-    state.counters["hybrid_pred_rate"] = avg_hybrid.predictionRate();
-    state.counters["hybrid_accuracy"] = avg_hybrid.accuracy();
-}
-BENCHMARK(BM_Fig05_Predictors)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
 
 void
 printFig5()
 {
-    const auto &r = results();
+    const auto r = results();
     Table table;
     table.row({"suite", "stride_rate", "cap_rate", "hybrid_rate",
                "stride_acc", "cap_acc", "hybrid_acc"});

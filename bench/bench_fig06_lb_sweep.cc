@@ -30,42 +30,27 @@ constexpr LbConfig lbConfigs[] = {
     {"4K,4way", 4096, 4}, {"8K,2way", 8192, 2},
 };
 
-const std::vector<std::vector<SuiteStats>> &
+std::vector<std::vector<SuiteStats>>
 results()
 {
-    static const std::vector<std::vector<SuiteStats>> cached = [] {
-        const std::size_t len = defaultTraceLength();
-        std::vector<std::vector<SuiteStats>> r;
-        for (const auto &lb : lbConfigs) {
-            PredictorFactory factory = [&lb] {
-                HybridConfig config;
-                config.lb.entries = lb.entries;
-                config.lb.assoc = lb.assoc;
-                return std::make_unique<HybridPredictor>(config);
-            };
-            r.push_back(sweepPerSuite(lb.label, factory, {}, len));
-        }
-        return r;
-    }();
-    return cached;
-}
-
-void
-BM_Fig06_LbSweep(benchmark::State &state)
-{
-    for (auto _ : state)
-        benchmark::DoNotOptimize(&results());
-    for (std::size_t c = 0; c < std::size(lbConfigs); ++c) {
-        state.counters[lbConfigs[c].label] =
-            results()[c].back().stats.predictionRate();
+    const std::size_t len = defaultTraceLength();
+    std::vector<std::vector<SuiteStats>> r;
+    for (const auto &lb : lbConfigs) {
+        PredictorFactory factory = [&lb] {
+            HybridConfig config;
+            config.lb.entries = lb.entries;
+            config.lb.assoc = lb.assoc;
+            return std::make_unique<HybridPredictor>(config);
+        };
+        r.push_back(sweepPerSuite(lb.label, factory, {}, len));
     }
+    return r;
 }
-BENCHMARK(BM_Fig06_LbSweep)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 void
 printResults()
 {
-    const auto &r = results();
+    const auto r = results();
     Table table;
     {
         std::vector<std::string> header = {"suite"};

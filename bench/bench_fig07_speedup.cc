@@ -26,20 +26,17 @@ struct Fig7Results
     std::vector<SpeedupResult> hybrid;
 };
 
-const Fig7Results &
+Fig7Results
 results()
 {
-    static const Fig7Results cached = [] {
-        const std::size_t len = defaultTraceLength();
-        const auto specs = buildCatalog();
-        Fig7Results r;
-        r.stride = sweepSpeedup("stride", specs, strideFactory(),
-                                TimingConfig{}, len);
-        r.hybrid = sweepSpeedup("hybrid", specs, hybridFactory(),
-                                TimingConfig{}, len);
-        return r;
-    }();
-    return cached;
+    const std::size_t len = defaultTraceLength();
+    const auto specs = buildCatalog();
+    Fig7Results r;
+    r.stride = sweepSpeedup("stride", specs, strideFactory(),
+                            TimingConfig{}, len);
+    r.hybrid = sweepSpeedup("hybrid", specs, hybridFactory(),
+                            TimingConfig{}, len);
+    return r;
 }
 
 double
@@ -52,22 +49,9 @@ averageSpeedup(const std::vector<SpeedupResult> &rows)
 }
 
 void
-BM_Fig07_Speedup(benchmark::State &state)
-{
-    for (auto _ : state)
-        benchmark::DoNotOptimize(&results());
-    state.counters["stride_speedup"] =
-        averageSpeedup(results().stride);
-    state.counters["hybrid_speedup"] =
-        averageSpeedup(results().hybrid);
-}
-BENCHMARK(BM_Fig07_Speedup)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-void
 printResults()
 {
-    const auto &r = results();
+    const auto r = results();
     Table table;
     table.row({"trace", "stride_speedup", "hybrid_speedup"});
     std::map<std::string, std::vector<double>> per_suite_stride;

@@ -17,37 +17,15 @@ namespace
 using namespace clap;
 using namespace clap::bench;
 
-const std::vector<SuiteStats> &
-results()
-{
-    static const std::vector<SuiteStats> cached = sweepPerSuite(
-        "hybrid", hybridFactory(), {}, defaultTraceLength());
-    return cached;
-}
-
-void
-BM_Fig08_Selector(benchmark::State &state)
-{
-    for (auto _ : state)
-        benchmark::DoNotOptimize(&results());
-    const auto &avg = results().back().stats;
-    state.counters["correct_selection"] = avg.correctSelectionRate();
-    const double both = static_cast<double>(avg.bothSpec);
-    if (avg.bothSpec != 0) {
-        state.counters["cap_states"] =
-            (avg.selectorState[2] + avg.selectorState[3]) / both;
-    }
-}
-BENCHMARK(BM_Fig08_Selector)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
 void
 printResults()
 {
+    const std::vector<SuiteStats> suites = sweepPerSuite(
+        "hybrid", hybridFactory(), {}, defaultTraceLength());
     Table table;
     table.row({"suite", "strongStride", "weakStride", "weakCAP",
                "strongCAP", "correct_sel", "both_frac"});
-    for (const auto &suite : results()) {
+    for (const auto &suite : suites) {
         const auto &s = suite.stats;
         const double both =
             s.bothSpec == 0 ? 1.0 : static_cast<double>(s.bothSpec);

@@ -26,51 +26,37 @@ struct Fig9Results
     std::vector<double> withoutCorr;
 };
 
-const Fig9Results &
+Fig9Results
 results()
 {
-    static const Fig9Results cached = [] {
-        const std::size_t len = defaultTraceLength();
-        Fig9Results r;
-        for (const bool corr : {true, false}) {
-            for (const unsigned hist : historyLengths) {
-                PredictorFactory factory = [corr, hist] {
-                    CapPredictorConfig config;
-                    config.cap.useConfidence = false;
-                    config.cap.globalCorrelation = corr;
-                    config.cap.historyLength = hist;
-                    return std::make_unique<CapPredictor>(config);
-                };
-                const std::string label =
-                    std::string(corr ? "corr" : "nocorr") + "_h" +
-                    std::to_string(hist);
-                const auto suites =
-                    sweepPerSuite(label, factory, {}, len);
-                const double value =
-                    suites.back().stats.correctOfAllLoads();
-                (corr ? r.withCorr : r.withoutCorr).push_back(value);
-            }
+    const std::size_t len = defaultTraceLength();
+    Fig9Results r;
+    for (const bool corr : {true, false}) {
+        for (const unsigned hist : historyLengths) {
+            PredictorFactory factory = [corr, hist] {
+                CapPredictorConfig config;
+                config.cap.useConfidence = false;
+                config.cap.globalCorrelation = corr;
+                config.cap.historyLength = hist;
+                return std::make_unique<CapPredictor>(config);
+            };
+            const std::string label =
+                std::string(corr ? "corr" : "nocorr") + "_h" +
+                std::to_string(hist);
+            const auto suites =
+                sweepPerSuite(label, factory, {}, len);
+            const double value =
+                suites.back().stats.correctOfAllLoads();
+            (corr ? r.withCorr : r.withoutCorr).push_back(value);
         }
-        return r;
-    }();
-    return cached;
+    }
+    return r;
 }
-
-void
-BM_Fig09_History(benchmark::State &state)
-{
-    for (auto _ : state)
-        benchmark::DoNotOptimize(&results());
-    state.counters["corr_len4"] = results().withCorr[3];
-    state.counters["nocorr_len4"] = results().withoutCorr[3];
-}
-BENCHMARK(BM_Fig09_History)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
 
 void
 printResults()
 {
-    const auto &r = results();
+    const auto r = results();
     Table table;
     table.row({"history_length", "global_corr", "no_global_corr",
                "benefit"});

@@ -35,41 +35,23 @@ constexpr ConfidenceConfig configs[] = {
     {"8b tag + path", 8, 4, 4}, {"8b tag, hist 6", 8, 0, 6},
 };
 
-const std::vector<PredictionStats> &
+std::vector<PredictionStats>
 results()
 {
-    static const std::vector<PredictionStats> cached = [] {
-        const std::size_t len = defaultTraceLength();
-        std::vector<PredictionStats> r;
-        for (const auto &cfg : configs) {
-            PredictorFactory factory = [&cfg] {
-                CapPredictorConfig config;
-                config.cap.ltTagBits = cfg.tagBits;
-                config.cap.pathBits = cfg.pathBits;
-                config.cap.historyLength = cfg.historyLength;
-                return std::make_unique<CapPredictor>(config);
-            };
-            r.push_back(
-                sweepPerSuite(cfg.label, factory, {}, len)
-                    .back()
-                    .stats);
-        }
-        return r;
-    }();
-    return cached;
+    const std::size_t len = defaultTraceLength();
+    std::vector<PredictionStats> r;
+    for (const auto &cfg : configs) {
+        PredictorFactory factory = [&cfg] {
+            CapPredictorConfig config;
+            config.cap.ltTagBits = cfg.tagBits;
+            config.cap.pathBits = cfg.pathBits;
+            config.cap.historyLength = cfg.historyLength;
+            return std::make_unique<CapPredictor>(config);
+        };
+        r.push_back(sweepPerSuite(cfg.label, factory, {}, len).back().stats);
+    }
+    return r;
 }
-
-void
-BM_Fig10_Confidence(benchmark::State &state)
-{
-    for (auto _ : state)
-        benchmark::DoNotOptimize(&results());
-    state.counters["notag_mispred"] = results()[0].mispredictionRate();
-    state.counters["8btag_path_mispred"] =
-        results()[4].mispredictionRate();
-}
-BENCHMARK(BM_Fig10_Confidence)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
 
 void
 printResults()
@@ -77,9 +59,10 @@ printResults()
     Table table;
     table.row({"config", "pred_rate", "mispred_rate",
                "mispred_vs_no_tag"});
-    const double base = results()[0].mispredictionRate();
+    const std::vector<PredictionStats> r = results();
+    const double base = r[0].mispredictionRate();
     for (std::size_t c = 0; c < std::size(configs); ++c) {
-        const auto &stats = results()[c];
+        const auto &stats = r[c];
         table.newRow();
         table.cell(configs[c].label);
         table.percent(stats.predictionRate());

@@ -26,49 +26,33 @@ struct GapResults
     std::vector<PredictionStats> hybrid;
 };
 
-const GapResults &
+GapResults
 results()
 {
-    static const GapResults cached = [] {
-        const std::size_t len = defaultTraceLength();
-        GapResults r;
-        for (const unsigned gap : gaps) {
-            PredictorSimConfig sim;
-            sim.gapCycles = gap;
-            const std::string suffix = "_g" + std::to_string(gap);
-            r.stride.push_back(
-                sweepPerSuite("stride" + suffix,
-                              strideFactory(gap != 0), sim, len)
-                    .back()
-                    .stats);
-            r.hybrid.push_back(
-                sweepPerSuite("hybrid" + suffix,
-                              hybridFactory(gap != 0), sim, len)
-                    .back()
-                    .stats);
-        }
-        return r;
-    }();
-    return cached;
+    const std::size_t len = defaultTraceLength();
+    GapResults r;
+    for (const unsigned gap : gaps) {
+        PredictorSimConfig sim;
+        sim.gapCycles = gap;
+        const std::string suffix = "_g" + std::to_string(gap);
+        r.stride.push_back(
+            sweepPerSuite("stride" + suffix,
+                          strideFactory(gap != 0), sim, len)
+                .back()
+                .stats);
+        r.hybrid.push_back(
+            sweepPerSuite("hybrid" + suffix,
+                          hybridFactory(gap != 0), sim, len)
+                .back()
+                .stats);
+    }
+    return r;
 }
-
-void
-BM_Fig11_Gap(benchmark::State &state)
-{
-    for (auto _ : state)
-        benchmark::DoNotOptimize(&results());
-    state.counters["hybrid_imm_rate"] =
-        results().hybrid[0].predictionRate();
-    state.counters["hybrid_gap8_rate"] =
-        results().hybrid[2].predictionRate();
-    state.counters["hybrid_gap8_acc"] = results().hybrid[2].accuracy();
-}
-BENCHMARK(BM_Fig11_Gap)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 void
 printResults()
 {
-    const auto &r = results();
+    const auto r = results();
     Table table;
     table.row({"gap", "stride_rate", "hybrid_rate", "stride_acc",
                "hybrid_acc", "stride_corr", "hybrid_corr"});

@@ -28,30 +28,27 @@ struct Fig12Results
     std::vector<SpeedupResult> hybridGap;
 };
 
-const Fig12Results &
+Fig12Results
 results()
 {
-    static const Fig12Results cached = [] {
-        const std::size_t len = defaultTraceLength();
-        const auto specs = buildCatalog();
-        TimingConfig immediate;
-        TimingConfig gapped;
-        gapped.predictorGap.gapCycles = 8;
+    const std::size_t len = defaultTraceLength();
+    const auto specs = buildCatalog();
+    TimingConfig immediate;
+    TimingConfig gapped;
+    gapped.predictorGap.gapCycles = 8;
 
-        Fig12Results r;
-        r.strideImm = sweepSpeedup("stride_imm", specs,
-                                   strideFactory(false), immediate,
-                                   len);
-        r.strideGap = sweepSpeedup("stride_gap8", specs,
-                                   strideFactory(true), gapped, len);
-        r.hybridImm = sweepSpeedup("hybrid_imm", specs,
-                                   hybridFactory(false), immediate,
-                                   len);
-        r.hybridGap = sweepSpeedup("hybrid_gap8", specs,
-                                   hybridFactory(true), gapped, len);
-        return r;
-    }();
-    return cached;
+    Fig12Results r;
+    r.strideImm = sweepSpeedup("stride_imm", specs,
+                               strideFactory(false), immediate,
+                               len);
+    r.strideGap = sweepSpeedup("stride_gap8", specs,
+                               strideFactory(true), gapped, len);
+    r.hybridImm = sweepSpeedup("hybrid_imm", specs,
+                               hybridFactory(false), immediate,
+                               len);
+    r.hybridGap = sweepSpeedup("hybrid_gap8", specs,
+                               hybridFactory(true), gapped, len);
+    return r;
 }
 
 std::map<std::string, double>
@@ -71,25 +68,13 @@ perSuiteGeomean(const std::vector<SpeedupResult> &rows)
 }
 
 void
-BM_Fig12_SpeedupGap(benchmark::State &state)
-{
-    for (auto _ : state)
-        benchmark::DoNotOptimize(&results());
-    state.counters["hybrid_imm"] =
-        perSuiteGeomean(results().hybridImm)["Average"];
-    state.counters["hybrid_gap8"] =
-        perSuiteGeomean(results().hybridGap)["Average"];
-}
-BENCHMARK(BM_Fig12_SpeedupGap)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-void
 printResults()
 {
-    const auto stride_imm = perSuiteGeomean(results().strideImm);
-    const auto stride_gap = perSuiteGeomean(results().strideGap);
-    const auto hybrid_imm = perSuiteGeomean(results().hybridImm);
-    const auto hybrid_gap = perSuiteGeomean(results().hybridGap);
+    const auto r = results();
+    const auto stride_imm = perSuiteGeomean(r.strideImm);
+    const auto stride_gap = perSuiteGeomean(r.strideGap);
+    const auto hybrid_imm = perSuiteGeomean(r.hybridImm);
+    const auto hybrid_gap = perSuiteGeomean(r.hybridGap);
 
     Table table;
     table.row({"suite", "stride_imm", "stride_gap8", "hybrid_imm",

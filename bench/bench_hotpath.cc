@@ -21,7 +21,7 @@
  * Environment knobs (besides the shared bench/sweep flags):
  *   CLAP_TRACE_INSTS  per-trace instruction budget (suites.hh)
  *
- * Harness-specific flags (stripped before the shared flag layer):
+ * Harness-specific flags (besides the shared bench/sweep flags):
  *   --reps=N      timed replay passes per predictor (default 5)
  *   --warmup=N    discarded leading passes (default 1)
  *   --perf-out=PATH  timing JSON path (default BENCH_hotpath.perf.json)
@@ -99,11 +99,6 @@ struct HotpathRow
     double meanNs() const { return meanOf(repNs); }
 };
 
-struct HotpathResults
-{
-    std::vector<HotpathRow> rows;
-};
-
 /** One full replay pass (all traces, fresh predictor per trace).
  *  Returns the pass's ns/load and accumulates the workload shape. */
 double
@@ -146,44 +141,24 @@ measure(const std::string &name, const PredictorFactory &factory,
     return row;
 }
 
-const HotpathResults &
+std::vector<HotpathRow>
 results()
 {
-    static const HotpathResults cached = [] {
-        HotpathResults out;
-        // Pre-fetch through the store so generation time (shared with
-        // every other harness in a batched run) stays out of the
-        // replay measurement.
-        std::vector<std::shared_ptr<const Trace>> traces;
-        for (const auto &spec : representativeSpecs()) {
-            traces.push_back(
-                globalTraceStore().get(spec, defaultTraceLength()));
-        }
+    // Pre-fetch through the store so generation time (shared with
+    // every other harness in a batched run) stays out of the
+    // replay measurement.
+    std::vector<std::shared_ptr<const Trace>> traces;
+    for (const auto &spec : representativeSpecs())
+        traces.push_back(globalTraceStore().get(spec, defaultTraceLength()));
 
-        out.rows.push_back(
-            measure("last", lastAddressFactory(), traces));
-        out.rows.push_back(measure("stride", strideFactory(), traces));
-        out.rows.push_back(measure("cap", capFactory(), traces));
-        out.rows.push_back(measure("hybrid", hybridFactory(), traces));
-        return out;
-    }();
-    return cached;
+    return {measure("last", lastAddressFactory(), traces),
+            measure("stride", strideFactory(), traces),
+            measure("cap", capFactory(), traces),
+            measure("hybrid", hybridFactory(), traces)};
 }
-
-void
-BM_Hotpath(benchmark::State &state)
-{
-    for (auto _ : state)
-        benchmark::DoNotOptimize(&results());
-    double total_median = 0.0;
-    for (const HotpathRow &row : results().rows)
-        total_median += row.medianNs();
-    state.counters["median_ns_per_load_sum"] = total_median;
-}
-BENCHMARK(BM_Hotpath)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 std::string
-perfJson()
+perfJson(const std::vector<HotpathRow> &rows)
 {
     char buf[64];
     auto num = [&buf](double value) {
@@ -194,7 +169,6 @@ perfJson()
     json += "  \"reps\": " + std::to_string(g_reps) + ",\n";
     json += "  \"warmup\": " + std::to_string(g_warmup) + ",\n";
     json += "  \"predictors\": [";
-    const auto &rows = results().rows;
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const HotpathRow &row = rows[i];
         if (i != 0)
@@ -213,14 +187,14 @@ perfJson()
 void
 printResults()
 {
-    const HotpathResults &res = results();
+    const std::vector<HotpathRow> rows = results();
 
     // Deterministic workload-shape table: the only table registered
     // for BENCH_hotpath.json, which must stay byte-identical across
     // runs (fixed build + trace budget).
     Table shape;
     shape.row({"predictor", "records", "loads"});
-    for (const HotpathRow &row : res.rows) {
+    for (const HotpathRow &row : rows) {
         shape.newRow();
         shape.cell(row.predictor);
         shape.cell(row.records);
@@ -232,7 +206,7 @@ printResults()
     Table timing;
     timing.row({"predictor", "reps", "min ns/load", "median ns/load",
                 "mean ns/load"});
-    for (const HotpathRow &row : res.rows) {
+    for (const HotpathRow &row : rows) {
         timing.newRow();
         timing.cell(row.predictor);
         timing.cell(static_cast<std::uint64_t>(row.repNs.size()));
@@ -247,7 +221,7 @@ printResults()
     std::fflush(stdout);
 
     if (!g_noPerfJson) {
-        if (auto written = writeFileAtomic(g_perfOut, perfJson());
+        if (auto written = writeFileAtomic(g_perfOut, perfJson(rows));
             !written) {
             std::fprintf(stderr, "cannot write %s: %s\n",
                          g_perfOut.c_str(),
@@ -261,66 +235,15 @@ printResults()
     }
 }
 
-/** Strip the harness-specific flags before the shared flag layer
- *  (anything it does not recognise is handed to google-benchmark,
- *  which rejects unknown flags). */
-void
-parseHotpathFlags(int &argc, char **argv)
-{
-    auto bail = [](const std::string &message) {
-        std::fprintf(stderr, "bench_hotpath flags: %s\n",
-                     message.c_str());
-        std::exit(2);
-    };
-    auto parseUint = [&bail](const std::string &flag,
-                             const std::string &text) -> unsigned {
-        try {
-            std::size_t end = 0;
-            const unsigned long value = std::stoul(text, &end);
-            if (end != text.size())
-                throw std::invalid_argument(text);
-            return static_cast<unsigned>(value);
-        } catch (const std::exception &) {
-            bail("bad value '" + text + "' for " + flag);
-            return 0; // unreachable
-        }
-    };
-
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto valueOf = [&](const std::string &prefix,
-                           std::string &value) {
-            if (arg.compare(0, prefix.size(), prefix) != 0)
-                return false;
-            value = arg.substr(prefix.size());
-            return true;
-        };
-        std::string value;
-        if (valueOf("--reps=", value)) {
-            g_reps = parseUint("--reps", value);
-            if (g_reps == 0)
-                bail("--reps must be >= 1");
-        } else if (valueOf("--warmup=", value)) {
-            g_warmup = parseUint("--warmup", value);
-        } else if (valueOf("--perf-out=", value)) {
-            g_perfOut = value;
-        } else if (arg == "--no-perf-json") {
-            g_noPerfJson = true;
-        } else {
-            argv[out++] = argv[i]; // not ours: keep
-            continue;
-        }
-    }
-    argc = out;
-    argv[argc] = nullptr;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    parseHotpathFlags(argc, argv);
-    return clap::bench::benchMain("hotpath", argc, argv, printResults);
+    using namespace clap::bench;
+    return benchMain("hotpath", argc, argv, printResults,
+                     {numberFlag("--reps", g_reps, 1),
+                      numberFlag("--warmup", g_warmup, 0),
+                      pathFlag("--perf-out", g_perfOut),
+                      switchFlag("--no-perf-json", g_noPerfJson)});
 }

@@ -23,35 +23,20 @@ struct IntroResults
     std::vector<SuiteStats> stride;
 };
 
-const IntroResults &
+IntroResults
 results()
 {
-    static const IntroResults cached = [] {
-        const std::size_t len = defaultTraceLength();
-        IntroResults r;
-        r.last = sweepPerSuite("last", lastAddressFactory(), {}, len);
-        r.stride = sweepPerSuite("stride", strideFactory(), {}, len);
-        return r;
-    }();
-    return cached;
+    const std::size_t len = defaultTraceLength();
+    IntroResults r;
+    r.last = sweepPerSuite("last", lastAddressFactory(), {}, len);
+    r.stride = sweepPerSuite("stride", strideFactory(), {}, len);
+    return r;
 }
-
-void
-BM_IntroRates(benchmark::State &state)
-{
-    for (auto _ : state)
-        benchmark::DoNotOptimize(&results());
-    state.counters["last_correct_of_loads"] =
-        results().last.back().stats.correctOfAllLoads();
-    state.counters["stride_correct_of_loads"] =
-        results().stride.back().stats.correctOfAllLoads();
-}
-BENCHMARK(BM_IntroRates)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 void
 printResults()
 {
-    const auto &r = results();
+    const auto r = results();
     Table table;
     table.row({"suite", "last_correct", "stride_correct", "delta"});
     for (std::size_t i = 0; i < r.last.size(); ++i) {

@@ -18,62 +18,44 @@ constexpr std::size_t ltSizes[] = {1024, 2048, 4096, 8192};
 
 constexpr unsigned ltAssocs[] = {1, 2, 4};
 
-const std::vector<std::vector<SuiteStats>> &
+std::vector<std::vector<SuiteStats>>
 assocResults()
 {
-    static const std::vector<std::vector<SuiteStats>> cached = [] {
-        const std::size_t len = defaultTraceLength();
-        std::vector<std::vector<SuiteStats>> r;
-        for (const unsigned assoc : ltAssocs) {
-            PredictorFactory factory = [assoc] {
-                HybridConfig config;
-                config.cap.ltAssoc = assoc;
-                return std::make_unique<HybridPredictor>(config);
-            };
-            r.push_back(sweepPerSuite(
-                "lt_assoc" + std::to_string(assoc), factory, {}, len));
-        }
-        return r;
-    }();
-    return cached;
+    const std::size_t len = defaultTraceLength();
+    std::vector<std::vector<SuiteStats>> r;
+    for (const unsigned assoc : ltAssocs) {
+        PredictorFactory factory = [assoc] {
+            HybridConfig config;
+            config.cap.ltAssoc = assoc;
+            return std::make_unique<HybridPredictor>(config);
+        };
+        r.push_back(sweepPerSuite(
+            "lt_assoc" + std::to_string(assoc), factory, {}, len));
+    }
+    return r;
 }
 
-const std::vector<std::vector<SuiteStats>> &
+std::vector<std::vector<SuiteStats>>
 results()
 {
-    static const std::vector<std::vector<SuiteStats>> cached = [] {
-        const std::size_t len = defaultTraceLength();
-        std::vector<std::vector<SuiteStats>> r;
-        for (const auto entries : ltSizes) {
-            PredictorFactory factory = [entries] {
-                HybridConfig config;
-                config.cap.ltEntries = entries;
-                return std::make_unique<HybridPredictor>(config);
-            };
-            r.push_back(sweepPerSuite(
-                "lt" + std::to_string(entries), factory, {}, len));
-        }
-        return r;
-    }();
-    return cached;
-}
-
-void
-BM_LtSweep(benchmark::State &state)
-{
-    for (auto _ : state)
-        benchmark::DoNotOptimize(&results());
-    for (std::size_t c = 0; c < std::size(ltSizes); ++c) {
-        state.counters["lt_" + std::to_string(ltSizes[c] / 1024) + "k"] =
-            results()[c].back().stats.predictionRate();
+    const std::size_t len = defaultTraceLength();
+    std::vector<std::vector<SuiteStats>> r;
+    for (const auto entries : ltSizes) {
+        PredictorFactory factory = [entries] {
+            HybridConfig config;
+            config.cap.ltEntries = entries;
+            return std::make_unique<HybridPredictor>(config);
+        };
+        r.push_back(sweepPerSuite(
+            "lt" + std::to_string(entries), factory, {}, len));
     }
+    return r;
 }
-BENCHMARK(BM_LtSweep)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 void
 printResults()
 {
-    const auto &r = results();
+    const auto r = results();
     Table table;
     table.row({"suite", "1K", "2K", "4K", "8K"});
     const std::size_t rows = r.front().size();
@@ -89,7 +71,7 @@ printResults()
 
     Table assoc_table;
     assoc_table.row({"suite", "1-way", "2-way", "4-way"});
-    const auto &ar = assocResults();
+    const auto ar = assocResults();
     for (std::size_t i = 0; i < ar.front().size(); ++i) {
         assoc_table.newRow();
         assoc_table.cell(ar.front()[i].suite);

@@ -30,43 +30,27 @@ constexpr PolicyConfig policies[] = {
     {"unless-stride-selected", LtUpdatePolicy::UnlessStrideSelected},
 };
 
-const std::vector<std::vector<SuiteStats>> &
+std::vector<std::vector<SuiteStats>>
 results()
 {
-    static const std::vector<std::vector<SuiteStats>> cached = [] {
-        const std::size_t len = defaultTraceLength();
-        std::vector<std::vector<SuiteStats>> r;
-        for (const auto &policy : policies) {
-            PredictorFactory factory = [&policy] {
-                HybridConfig config;
-                config.ltUpdatePolicy = policy.policy;
-                return std::make_unique<HybridPredictor>(config);
-            };
-            r.push_back(
-                sweepPerSuite(policy.label, factory, {}, len));
-        }
-        return r;
-    }();
-    return cached;
-}
-
-void
-BM_LtUpdatePolicy(benchmark::State &state)
-{
-    for (auto _ : state)
-        benchmark::DoNotOptimize(&results());
-    for (std::size_t p = 0; p < std::size(policies); ++p) {
-        state.counters[policies[p].label] =
-            results()[p].back().stats.predictionRate();
+    const std::size_t len = defaultTraceLength();
+    std::vector<std::vector<SuiteStats>> r;
+    for (const auto &policy : policies) {
+        PredictorFactory factory = [&policy] {
+            HybridConfig config;
+            config.ltUpdatePolicy = policy.policy;
+            return std::make_unique<HybridPredictor>(config);
+        };
+        r.push_back(
+            sweepPerSuite(policy.label, factory, {}, len));
     }
+    return r;
 }
-BENCHMARK(BM_LtUpdatePolicy)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
 
 void
 printResults()
 {
-    const auto &r = results();
+    const auto r = results();
     Table table;
     table.row({"suite", "always", "unless-correct", "unless-selected"});
     const std::size_t rows = r.front().size();

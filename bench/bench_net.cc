@@ -20,7 +20,8 @@
  *
  * Flags (besides the shared bench/sweep flags):
  *   --fault-rate=F   per-frame probability of each chaos fault class
- *                    (0 disables; chaos shares F across the classes)
+ *                    (0 to 1; 0 disables; chaos shares F across the
+ *                    classes)
  *   --net-seed=N     chaos schedule seed (default 0x7e57)
  *
  * Note on determinism: with multiple client threads the chaos
@@ -34,7 +35,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -175,142 +175,125 @@ struct NetLoadResult
     ServerCounters server;
 };
 
-const NetLoadResult &
+NetLoadResult
 results()
 {
-    static const NetLoadResult cached = [] {
-        NetLoadResult out;
-        out.clients = envUnsigned("CLAP_NET_CLIENTS", 4);
-        out.shards = envUnsigned("CLAP_NET_SHARDS", 4);
-        while (!isPowerOf2(out.shards))
-            --out.shards;
+    NetLoadResult out;
+    out.clients = envUnsigned("CLAP_NET_CLIENTS", 4);
+    out.shards = envUnsigned("CLAP_NET_SHARDS", 4);
+    while (!isPowerOf2(out.shards))
+        --out.shards;
 
-        std::vector<std::shared_ptr<const Trace>> traces;
-        for (const char *suite : {"INT", "MM", "TPC", "NT"})
-            traces.push_back(globalTraceStore().get(
-                buildSuite(suite).front(), defaultTraceLength()));
+    std::vector<std::shared_ptr<const Trace>> traces;
+    for (const char *suite : {"INT", "MM", "TPC", "NT"})
+        traces.push_back(globalTraceStore().get(
+            buildSuite(suite).front(), defaultTraceLength()));
 
-        ServiceConfig serviceConfig;
-        serviceConfig.shards = out.shards;
-        serviceConfig.overload = OverloadPolicy::Block;
-        PredictionService service(serviceConfig, hybridFactory());
+    ServiceConfig serviceConfig;
+    serviceConfig.shards = out.shards;
+    serviceConfig.overload = OverloadPolicy::Block;
+    PredictionService service(serviceConfig, hybridFactory());
 
-        ServerConfig serverConfig;
-        serverConfig.endpoint = "unix:" + socketPath();
-        serverConfig.maxConnections = out.clients + 4;
-        NetServer server(service, nullptr, serverConfig);
-        if (auto started = server.start(); !started) {
-            BenchState::instance().failures.push_back(
-                {"net/load/start", started.error().str()});
-            return out;
-        }
-        const std::string endpoint = server.boundEndpoint().str();
-
-        // One chaos scheduler per client: schedules stay seeded even
-        // though thread interleaving makes the run non-reproducible.
-        std::vector<std::unique_ptr<NetChaos>> chaos;
-        for (unsigned c = 0; c < out.clients; ++c)
-            chaos.push_back(faultRate > 0.0
-                                ? std::make_unique<NetChaos>(
-                                      chaosConfig(netSeed + c))
-                                : nullptr);
-
-        std::vector<ClientOutcome> outcomes(out.clients);
-        const auto begin = std::chrono::steady_clock::now();
-        {
-            std::vector<std::thread> threads;
-            for (unsigned c = 0; c < out.clients; ++c) {
-                threads.emplace_back([&, c] {
-                    outcomes[c] = replayOverWire(
-                        endpoint, *traces[c % traces.size()],
-                        chaos[c].get(), /*collect_latencies=*/true);
-                });
-            }
-            for (auto &thread : threads)
-                thread.join();
-        }
-        const auto end = std::chrono::steady_clock::now();
-        out.elapsedSec =
-            std::chrono::duration<double>(end - begin).count();
-
-        server.stop();
-        service.stop();
-        std::remove(socketPath().c_str());
-
-        // Per-predict round-trip latencies aggregated through the
-        // obs histogram (interpolated log2-bucket quantiles) — the
-        // same estimator the live scrape and fleet watchdog report,
-        // so bench and scrape tails are directly comparable.
-        obs::HistogramSnapshot latency;
-        for (unsigned c = 0; c < out.clients; ++c) {
-            const ClientOutcome &res = outcomes[c];
-            out.loads += res.loads;
-            out.predictErrors += res.predictErrors;
-            out.trainErrors += res.trainErrors;
-            out.clientTotals.connects += res.counters.connects;
-            out.clientTotals.connectFailures +=
-                res.counters.connectFailures;
-            out.clientTotals.retries += res.counters.retries;
-            out.clientTotals.predictsOk += res.counters.predictsOk;
-            out.clientTotals.trainsOk += res.counters.trainsOk;
-            out.clientTotals.errorReplies += res.counters.errorReplies;
-            out.clientTotals.transportErrors +=
-                res.counters.transportErrors;
-            out.clientTotals.corruptReplies +=
-                res.counters.corruptReplies;
-            out.clientTotals.wrongReplies += res.counters.wrongReplies;
-            out.clientTotals.goAways += res.counters.goAways;
-            for (std::uint32_t ns : res.latenciesNs)
-                latency.addValue(ns);
-            if (chaos[c]) {
-                const NetChaosStats cs = chaos[c]->stats();
-                out.chaosTotals.disconnects += cs.disconnects;
-                out.chaosTotals.tears += cs.tears;
-                out.chaosTotals.stalls += cs.stalls;
-                out.chaosTotals.sendFlips += cs.sendFlips;
-                out.chaosTotals.replyDisconnects += cs.replyDisconnects;
-                out.chaosTotals.replyStalls += cs.replyStalls;
-                out.chaosTotals.recvFlips += cs.recvFlips;
-            }
-        }
-        out.p50Us = latency.p50() / 1000.0;
-        out.p95Us = latency.p95() / 1000.0;
-        out.p99Us = latency.p99() / 1000.0;
-        out.p999Us = latency.quantile(0.999) / 1000.0;
-        out.meanUs = latency.mean() / 1000.0;
-        out.server = server.counters();
-
-        // The invariant the gateway stack exists for: a faulty wire
-        // may cost retries and shed loads, never a wrong reply.
-        if (out.clientTotals.wrongReplies != 0) {
-            BenchState::instance().failures.push_back(
-                {"net/load/wrong-replies",
-                 std::to_string(out.clientTotals.wrongReplies) +
-                     " replies paired with the wrong request"});
-        }
+    ServerConfig serverConfig;
+    serverConfig.endpoint = "unix:" + socketPath();
+    serverConfig.maxConnections = out.clients + 4;
+    NetServer server(service, nullptr, serverConfig);
+    if (auto started = server.start(); !started) {
+        BenchState::instance().failures.push_back(
+            {"net/load/start", started.error().str()});
         return out;
-    }();
-    return cached;
-}
-
-void
-BM_Net(benchmark::State &state)
-{
-    for (auto _ : state)
-        benchmark::DoNotOptimize(&results());
-    const NetLoadResult &res = results();
-    if (res.elapsedSec > 0.0) {
-        state.counters["wire_preds_per_sec"] =
-            static_cast<double>(res.clientTotals.predictsOk) /
-            res.elapsedSec;
     }
+    const std::string endpoint = server.boundEndpoint().str();
+
+    // One chaos scheduler per client: schedules stay seeded even
+    // though thread interleaving makes the run non-reproducible.
+    std::vector<std::unique_ptr<NetChaos>> chaos;
+    for (unsigned c = 0; c < out.clients; ++c)
+        chaos.push_back(faultRate > 0.0
+                            ? std::make_unique<NetChaos>(
+                                  chaosConfig(netSeed + c))
+                            : nullptr);
+
+    std::vector<ClientOutcome> outcomes(out.clients);
+    const auto begin = std::chrono::steady_clock::now();
+    {
+        std::vector<std::thread> threads;
+        for (unsigned c = 0; c < out.clients; ++c) {
+            threads.emplace_back([&, c] {
+                outcomes[c] = replayOverWire(
+                    endpoint, *traces[c % traces.size()],
+                    chaos[c].get(), /*collect_latencies=*/true);
+            });
+        }
+        for (auto &thread : threads)
+            thread.join();
+    }
+    const auto end = std::chrono::steady_clock::now();
+    out.elapsedSec =
+        std::chrono::duration<double>(end - begin).count();
+
+    server.stop();
+    service.stop();
+    std::remove(socketPath().c_str());
+
+    // Per-predict round-trip latencies aggregated through the
+    // obs histogram (interpolated log2-bucket quantiles) — the
+    // same estimator the live scrape and fleet watchdog report,
+    // so bench and scrape tails are directly comparable.
+    obs::HistogramSnapshot latency;
+    for (unsigned c = 0; c < out.clients; ++c) {
+        const ClientOutcome &res = outcomes[c];
+        out.loads += res.loads;
+        out.predictErrors += res.predictErrors;
+        out.trainErrors += res.trainErrors;
+        out.clientTotals.connects += res.counters.connects;
+        out.clientTotals.connectFailures +=
+            res.counters.connectFailures;
+        out.clientTotals.retries += res.counters.retries;
+        out.clientTotals.predictsOk += res.counters.predictsOk;
+        out.clientTotals.trainsOk += res.counters.trainsOk;
+        out.clientTotals.errorReplies += res.counters.errorReplies;
+        out.clientTotals.transportErrors +=
+            res.counters.transportErrors;
+        out.clientTotals.corruptReplies +=
+            res.counters.corruptReplies;
+        out.clientTotals.wrongReplies += res.counters.wrongReplies;
+        out.clientTotals.goAways += res.counters.goAways;
+        for (std::uint32_t ns : res.latenciesNs)
+            latency.addValue(ns);
+        if (chaos[c]) {
+            const NetChaosStats cs = chaos[c]->stats();
+            out.chaosTotals.disconnects += cs.disconnects;
+            out.chaosTotals.tears += cs.tears;
+            out.chaosTotals.stalls += cs.stalls;
+            out.chaosTotals.sendFlips += cs.sendFlips;
+            out.chaosTotals.replyDisconnects += cs.replyDisconnects;
+            out.chaosTotals.replyStalls += cs.replyStalls;
+            out.chaosTotals.recvFlips += cs.recvFlips;
+        }
+    }
+    out.p50Us = latency.p50() / 1000.0;
+    out.p95Us = latency.p95() / 1000.0;
+    out.p99Us = latency.p99() / 1000.0;
+    out.p999Us = latency.quantile(0.999) / 1000.0;
+    out.meanUs = latency.mean() / 1000.0;
+    out.server = server.counters();
+
+    // The invariant the gateway stack exists for: a faulty wire
+    // may cost retries and shed loads, never a wrong reply.
+    if (out.clientTotals.wrongReplies != 0) {
+        BenchState::instance().failures.push_back(
+            {"net/load/wrong-replies",
+             std::to_string(out.clientTotals.wrongReplies) +
+                 " replies paired with the wrong request"});
+    }
+    return out;
 }
-BENCHMARK(BM_Net)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 void
 printResults()
 {
-    const NetLoadResult &res = results();
+    const NetLoadResult res = results();
 
     Table load;
     load.row({"clients", "shards", "loads", "preds/s", "mean_us",
@@ -376,36 +359,13 @@ printResults()
                 "paired with the wrong request\n");
 }
 
-void
-parseNetFlags(int &argc, char **argv)
-{
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto valueOf = [&arg](const char *prefix) -> const char * {
-            const std::size_t len = std::strlen(prefix);
-            return arg.compare(0, len, prefix) == 0 ? arg.c_str() + len
-                                                    : nullptr;
-        };
-        if (const char *value = valueOf("--fault-rate=")) {
-            faultRate = std::strtod(value, nullptr);
-            continue;
-        }
-        if (const char *value = valueOf("--net-seed=")) {
-            netSeed = std::strtoull(value, nullptr, 0);
-            continue;
-        }
-        argv[out++] = argv[i];
-    }
-    argc = out;
-    argv[argc] = nullptr;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    parseNetFlags(argc, argv);
-    return clap::bench::benchMain("net", argc, argv, printResults);
+    using namespace clap::bench;
+    return benchMain("net", argc, argv, printResults,
+                     {numberFlag("--fault-rate", faultRate, 0.0, 1.0),
+                      seedFlag("--net-seed", netSeed)});
 }

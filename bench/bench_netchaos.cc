@@ -380,38 +380,23 @@ struct NetChaosResults
     MigratePhaseRow migrate;
 };
 
-const NetChaosResults &
+NetChaosResults
 results()
 {
-    static const NetChaosResults cached = [] {
-        std::signal(SIGPIPE, SIG_IGN);
-        NetChaosResults out;
-        const std::shared_ptr<const Trace> trace = chaosBenchTrace();
-        for (const ChaosTier &tier : chaosTiers())
-            out.chaos.push_back(runChaosTier(tier, *trace));
-        out.kill = runKillPhase(*trace);
-        out.migrate = runMigratePhase(*trace);
-        return out;
-    }();
-    return cached;
+    std::signal(SIGPIPE, SIG_IGN);
+    NetChaosResults out;
+    const std::shared_ptr<const Trace> trace = chaosBenchTrace();
+    for (const ChaosTier &tier : chaosTiers())
+        out.chaos.push_back(runChaosTier(tier, *trace));
+    out.kill = runKillPhase(*trace);
+    out.migrate = runMigratePhase(*trace);
+    return out;
 }
-
-void
-BM_NetChaos(benchmark::State &state)
-{
-    for (auto _ : state)
-        benchmark::DoNotOptimize(&results());
-    double wrong = 0.0;
-    for (const auto &row : results().chaos)
-        wrong += static_cast<double>(row.client.wrongReplies);
-    state.counters["wrong_replies"] = wrong;
-}
-BENCHMARK(BM_NetChaos)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 void
 printResults()
 {
-    const NetChaosResults &res = results();
+    const NetChaosResults res = results();
 
     Table chaos;
     chaos.row({"tier", "loads", "preds_ok", "pred_err", "trains_ok",
@@ -481,27 +466,12 @@ printResults()
                 "stats_equal = yes\n");
 }
 
-void
-parseNetChaosFlags(int &argc, char **argv)
-{
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.compare(0, 16, "--netchaos-seed=") == 0) {
-            chaosSeed = std::strtoull(arg.c_str() + 16, nullptr, 0);
-            continue;
-        }
-        argv[out++] = argv[i];
-    }
-    argc = out;
-    argv[argc] = nullptr;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    parseNetChaosFlags(argc, argv);
-    return clap::bench::benchMain("netchaos", argc, argv, printResults);
+    using namespace clap::bench;
+    return benchMain("netchaos", argc, argv, printResults,
+                     {seedFlag("--netchaos-seed", chaosSeed)});
 }

@@ -97,67 +97,51 @@ profileJob(const std::string &key, const TraceSpec &spec, bool small,
     return job;
 }
 
-const ProfileResults &
+ProfileResults
 results()
 {
-    static const ProfileResults cached = [] {
-        std::vector<SweepJob> jobs;
-        for (const auto &spec : buildCatalog()) {
-            for (const int size : {0, 1}) {
-                const std::string suffix =
-                    (size == 1 ? "/small/" : "/base/") + spec.name;
-                jobs.push_back(profileJob("plain" + suffix, spec,
-                                          size == 1, false, false));
-                jobs.push_back(profileJob("profiled" + suffix, spec,
-                                          size == 1, true,
-                                          size == 0));
-            }
+    std::vector<SweepJob> jobs;
+    for (const auto &spec : buildCatalog()) {
+        for (const int size : {0, 1}) {
+            const std::string suffix =
+                (size == 1 ? "/small/" : "/base/") + spec.name;
+            jobs.push_back(profileJob("plain" + suffix, spec,
+                                      size == 1, false, false));
+            jobs.push_back(profileJob("profiled" + suffix, spec,
+                                      size == 1, true,
+                                      size == 0));
         }
+    }
 
-        const SweepReport report = runSweepJobs(jobs);
+    const SweepReport report = runSweepJobs(jobs);
 
-        ProfileResults r;
-        std::uint64_t unknown = 0;
-        std::uint64_t total = 0;
-        // Job layout per spec: plain/base, profiled/base,
-        // plain/small, profiled/small.
-        for (std::size_t j = 0; j < report.outcomes.size(); ++j) {
-            const JobOutcome &outcome = report.outcomes[j];
-            if (!outcome.ok)
-                continue;
-            const int size = static_cast<int>((j % 4) / 2);
-            if ((j % 2) == 0) {
-                r.plain[size].merge(outcome.result.stats);
-            } else {
-                r.profiled[size].merge(outcome.result.stats);
-                total += outcome.result.aux0;
-                unknown += outcome.result.aux1;
-            }
+    ProfileResults r;
+    std::uint64_t unknown = 0;
+    std::uint64_t total = 0;
+    // Job layout per spec: plain/base, profiled/base,
+    // plain/small, profiled/small.
+    for (std::size_t j = 0; j < report.outcomes.size(); ++j) {
+        const JobOutcome &outcome = report.outcomes[j];
+        if (!outcome.ok)
+            continue;
+        const int size = static_cast<int>((j % 4) / 2);
+        if ((j % 2) == 0) {
+            r.plain[size].merge(outcome.result.stats);
+        } else {
+            r.profiled[size].merge(outcome.result.stats);
+            total += outcome.result.aux0;
+            unknown += outcome.result.aux1;
         }
-        r.unknownFraction =
-            total == 0 ? 0.0 : static_cast<double>(unknown) / total;
-        return r;
-    }();
-    return cached;
+    }
+    r.unknownFraction =
+        total == 0 ? 0.0 : static_cast<double>(unknown) / total;
+    return r;
 }
-
-void
-BM_ProfileAssist(benchmark::State &state)
-{
-    for (auto _ : state)
-        benchmark::DoNotOptimize(&results());
-    state.counters["plain_small_correct"] =
-        results().plain[1].correctOfAllLoads();
-    state.counters["profiled_small_correct"] =
-        results().profiled[1].correctOfAllLoads();
-}
-BENCHMARK(BM_ProfileAssist)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
 
 void
 printResults()
 {
-    const auto &r = results();
+    const auto r = results();
     Table table;
     table.row({"config", "plain_correct", "profiled_correct",
                "plain_acc", "profiled_acc"});

@@ -457,35 +457,21 @@ struct ReplicaResults
     FailoverRow failover;
 };
 
-const ReplicaResults &
+ReplicaResults
 results()
 {
-    static const ReplicaResults cached = [] {
-        std::signal(SIGPIPE, SIG_IGN);
-        ReplicaResults out;
-        const std::shared_ptr<const Trace> trace = chaosBenchTrace();
-        out.balanced = runBalancedPhase(*trace);
-        out.failover = runFailoverPhase(*trace);
-        return out;
-    }();
-    return cached;
+    std::signal(SIGPIPE, SIG_IGN);
+    ReplicaResults out;
+    const std::shared_ptr<const Trace> trace = chaosBenchTrace();
+    out.balanced = runBalancedPhase(*trace);
+    out.failover = runFailoverPhase(*trace);
+    return out;
 }
-
-void
-BM_Replica(benchmark::State &state)
-{
-    for (auto _ : state)
-        benchmark::DoNotOptimize(&results());
-    state.counters["wrong_replies"] = static_cast<double>(
-        results().balanced.client.wrongReplies +
-        results().failover.client.wrongReplies);
-}
-BENCHMARK(BM_Replica)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 void
 printResults()
 {
-    const ReplicaResults &res = results();
+    const ReplicaResults res = results();
 
     Table balanced;
     balanced.row({"replicas", "shards", "loads", "pred_err",
@@ -553,27 +539,12 @@ printResults()
                 "visible errors, journaled == replayed > 0\n");
 }
 
-void
-parseReplicaFlags(int &argc, char **argv)
-{
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.compare(0, 15, "--replica-seed=") == 0) {
-            replicaSeed = std::strtoull(arg.c_str() + 15, nullptr, 0);
-            continue;
-        }
-        argv[out++] = argv[i];
-    }
-    argc = out;
-    argv[argc] = nullptr;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    parseReplicaFlags(argc, argv);
-    return clap::bench::benchMain("replica", argc, argv, printResults);
+    using namespace clap::bench;
+    return benchMain("replica", argc, argv, printResults,
+                     {seedFlag("--replica-seed", replicaSeed)});
 }

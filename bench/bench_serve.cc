@@ -24,7 +24,9 @@
  *
  * Chaos-under-load flags (default off; see serve/chaos.hh):
  *   --fault-rate=N   expected predictor-state bit flips injected per
- *                    second of load-phase wall clock (0 disables).
+ *                    second of load-phase wall clock (0 disables; at
+ *                    most 1e6, as the injector sleeps whole
+ *                    microseconds between flips).
  *                    Each flip quarantines its shard; a background
  *                    ShardSupervisor snapshots and recovers while the
  *                    other shards keep serving, and clients ride out
@@ -43,7 +45,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -340,65 +341,47 @@ struct ServeResults
     std::vector<std::string> crosscheckKeys;
 };
 
-const ServeResults &
+ServeResults
 results()
 {
-    static const ServeResults cached = [] {
-        ServeResults out;
-        const unsigned sharded = shardedConfigSize();
-        const unsigned clients = envUnsigned("CLAP_SERVE_CLIENTS", 4);
-        const std::vector<TraceSpec> specs = clientSpecs();
+    ServeResults out;
+    const unsigned sharded = shardedConfigSize();
+    const unsigned clients = envUnsigned("CLAP_SERVE_CLIENTS", 4);
+    const std::vector<TraceSpec> specs = clientSpecs();
 
-        // The store shares each client trace with the cross-check
-        // phase below (and caps the process at one copy per spec).
-        std::vector<std::shared_ptr<const Trace>> traces;
-        traces.reserve(specs.size());
-        for (const auto &spec : specs) {
-            traces.push_back(
-                globalTraceStore().get(spec, defaultTraceLength()));
-        }
-
-        std::vector<unsigned> shard_counts{1};
-        if (sharded > 1)
-            shard_counts.push_back(sharded);
-        for (unsigned shards : shard_counts)
-            out.loadPoints.push_back(
-                runLoadPhase(shards, clients, traces));
-
-        std::vector<SweepJob> jobs;
-        for (unsigned shards : shard_counts) {
-            for (const auto &spec : specs) {
-                const std::string key = "crosscheck/shards" +
-                    std::to_string(shards) + "/" + spec.name;
-                out.crosscheckKeys.push_back(key);
-                jobs.push_back(crosscheckJob(key, spec, shards));
-            }
-        }
-        out.crosscheck = runSweepJobs(jobs);
-        return out;
-    }();
-    return cached;
-}
-
-void
-BM_Serve(benchmark::State &state)
-{
-    for (auto _ : state)
-        benchmark::DoNotOptimize(&results());
-    const auto &points = results().loadPoints;
-    if (!points.empty()) {
-        state.counters["preds_per_sec_1shard"] =
-            points.front().predictionsPerSec();
-        state.counters["preds_per_sec_sharded"] =
-            points.back().predictionsPerSec();
+    // The store shares each client trace with the cross-check
+    // phase below (and caps the process at one copy per spec).
+    std::vector<std::shared_ptr<const Trace>> traces;
+    traces.reserve(specs.size());
+    for (const auto &spec : specs) {
+        traces.push_back(
+            globalTraceStore().get(spec, defaultTraceLength()));
     }
+
+    std::vector<unsigned> shard_counts{1};
+    if (sharded > 1)
+        shard_counts.push_back(sharded);
+    for (unsigned shards : shard_counts)
+        out.loadPoints.push_back(
+            runLoadPhase(shards, clients, traces));
+
+    std::vector<SweepJob> jobs;
+    for (unsigned shards : shard_counts) {
+        for (const auto &spec : specs) {
+            const std::string key = "crosscheck/shards" +
+                std::to_string(shards) + "/" + spec.name;
+            out.crosscheckKeys.push_back(key);
+            jobs.push_back(crosscheckJob(key, spec, shards));
+        }
+    }
+    out.crosscheck = runSweepJobs(jobs);
+    return out;
 }
-BENCHMARK(BM_Serve)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 void
 printResults()
 {
-    const ServeResults &res = results();
+    const ServeResults res = results();
 
     Table load;
     load.row({"shards", "clients", "loads", "preds/s", "p50_us",
@@ -460,39 +443,13 @@ printResults()
                 "semantics\n");
 }
 
-/** Strip the chaos flags before google-benchmark sees (and rejects)
- *  them; the shared sweep flags are stripped by benchMain. */
-void
-parseChaosFlags(int &argc, char **argv)
-{
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto valueOf = [&arg](const char *prefix) -> const char * {
-            const std::size_t len = std::strlen(prefix);
-            return arg.compare(0, len, prefix) == 0
-                       ? arg.c_str() + len
-                       : nullptr;
-        };
-        if (const char *value = valueOf("--fault-rate=")) {
-            faultRatePerSec = std::strtod(value, nullptr);
-            continue;
-        }
-        if (const char *value = valueOf("--chaos-seed=")) {
-            chaosSeed = std::strtoull(value, nullptr, 0);
-            continue;
-        }
-        argv[out++] = argv[i];
-    }
-    argc = out;
-    argv[argc] = nullptr;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    parseChaosFlags(argc, argv);
-    return clap::bench::benchMain("serve", argc, argv, printResults);
+    using namespace clap::bench;
+    return benchMain("serve", argc, argv, printResults,
+                     {numberFlag("--fault-rate", faultRatePerSec, 0.0, 1e6),
+                      seedFlag("--chaos-seed", chaosSeed)});
 }

@@ -1,14 +1,13 @@
 /**
  * @file
  * Shared helpers for the benchmark harnesses. Each bench binary
- * reproduces one table/figure of the paper: it times the simulation
- * with google-benchmark (single iteration — these are experiment
- * harnesses, not microbenchmarks) and prints a paper-style result
- * table afterwards, annotated with the values the paper reports.
+ * reproduces one table/figure of the paper: its main() hands
+ * benchMain() a function that runs the figure once and prints a
+ * paper-style result table, annotated with the values the paper
+ * reports.
  *
  * All harnesses route their sweeps through the resilient runner
- * (runner/sweep.hh) and share a flag layer on top of the
- * google-benchmark flags:
+ * (runner/sweep.hh) and accept these shared flags:
  *
  *   --jobs=N        worker threads (default 1 = serial order)
  *   --timeout-ms=N  per-job wall-clock budget (0 = no watchdog)
@@ -20,6 +19,10 @@
  *   --out=PATH      result JSON path (default BENCH_<name>.json)
  *   --no-json       skip writing the result JSON
  *
+ * A binary may accept more flags (BenchFlag, passed to benchMain).
+ * Any other argument, or a value that is malformed or out of range,
+ * exits 2 with a message naming it and listing the accepted flags.
+ *
  * Results additionally land in BENCH_<name>.json (written atomically
  * via temp-file + rename): every printed table plus any failed jobs.
  * The JSON contains no run-dependent counters, so an interrupted +
@@ -30,15 +33,18 @@
 #ifndef CLAP_BENCH_BENCH_UTIL_HH
 #define CLAP_BENCH_BENCH_UTIL_HH
 
-#include <benchmark/benchmark.h>
-
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -298,80 +304,153 @@ benchJson()
     return json;
 }
 
-/** Parse and strip the bench sweep flags from argv; exits on error. */
-inline void
-parseSweepFlags(int &argc, char **argv, SweepOptions &options)
+/**
+ * The one number parser behind every bench flag: all of @p text must
+ * be a number in [@p lo, @p hi], with no sign, space or trailing
+ * characters. Integers are decimal; with @p cLiteral they read as C
+ * literals instead (0x hex, leading-0 octal), the way seeds are
+ * written. Leaves @p out alone and returns false otherwise.
+ */
+template <typename T>
+bool
+parseNumber(const std::string &text, T lo, T hi, T &out,
+            bool cLiteral = false)
 {
-    auto bail = [](const std::string &message) {
-        std::fprintf(stderr, "bench flags: %s\n", message.c_str());
-        std::exit(2);
-    };
-    auto parseUint = [&bail](const std::string &flag,
-                             const std::string &text) -> std::uint64_t {
-        try {
-            std::size_t end = 0;
-            const unsigned long long value = std::stoull(text, &end);
-            if (end != text.size())
-                throw std::invalid_argument(text);
-            return value;
-        } catch (const std::exception &) {
-            bail("bad value '" + text + "' for " + flag);
-            return 0; // unreachable
-        }
-    };
-
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto valueOf = [&](const std::string &prefix,
-                           std::string &value) {
-            if (arg.compare(0, prefix.size(), prefix) != 0)
-                return false;
-            value = arg.substr(prefix.size());
-            return true;
-        };
-        std::string value;
-        if (valueOf("--jobs=", value)) {
-            options.jobs = static_cast<unsigned>(
-                parseUint("--jobs", value));
-            if (options.jobs == 0)
-                bail("--jobs must be >= 1");
-        } else if (valueOf("--timeout-ms=", value)) {
-            options.timeoutMs = parseUint("--timeout-ms", value);
-        } else if (valueOf("--retries=", value)) {
-            options.retries = static_cast<unsigned>(
-                parseUint("--retries", value));
-        } else if (valueOf("--backoff-ms=", value)) {
-            options.backoffMs = parseUint("--backoff-ms", value);
-        } else if (valueOf("--journal=", value)) {
-            options.journalPath = value;
-        } else if (arg == "--resume") {
-            options.resume = true;
-        } else if (valueOf("--out=", value)) {
-            options.outPath = value;
-        } else if (arg == "--no-json") {
-            options.noJson = true;
-        } else {
-            argv[out++] = argv[i]; // not ours: keep for benchmark
-            continue;
-        }
+    const char first = text.empty() ? '\0' : text[0];
+    if (!std::isdigit(static_cast<unsigned char>(first)) &&
+        !(std::is_floating_point_v<T> && first == '.'))
+        return false;
+    errno = 0;
+    char *end = nullptr;
+    T value{};
+    if constexpr (std::is_floating_point_v<T>) {
+        value = std::strtod(text.c_str(), &end);
+    } else {
+        const unsigned long long wide =
+            std::strtoull(text.c_str(), &end, cLiteral ? 0 : 10);
+        if (wide > std::numeric_limits<T>::max())
+            return false;
+        value = static_cast<T>(wide);
     }
-    argc = out;
-    argv[argc] = nullptr;
+    if (errno != 0 || *end != '\0' || !(value >= lo && value <= hi))
+        return false;
+    out = value;
+    return true;
+}
+
+/** One flag a bench binary accepts: "--name" for a switch, else
+ *  "--name=VALUE". set() stores the value; false means malformed. */
+struct BenchFlag
+{
+    std::string name;        ///< e.g. "--jobs"
+    std::string placeholder; ///< "N", "PATH"; empty for a switch
+    std::function<bool(const std::string &)> set;
+};
+
+inline BenchFlag
+switchFlag(std::string name, bool &target)
+{
+    return {std::move(name), "", [&target](const std::string &) {
+                target = true;
+                return true;
+            }};
+}
+
+inline BenchFlag
+pathFlag(std::string name, std::string &target)
+{
+    return {std::move(name), "PATH", [&target](const std::string &text) {
+                target = text;
+                return true;
+            }};
+}
+
+/** A number flag whose value must lie in [@p lo, @p hi]. */
+template <typename T>
+BenchFlag
+numberFlag(std::string name, T &target, std::type_identity_t<T> lo,
+           std::type_identity_t<T> hi = std::numeric_limits<T>::max())
+{
+    return {std::move(name), "N",
+            [&target, lo, hi](const std::string &text) {
+                return parseNumber(text, lo, hi, target);
+            }};
+}
+
+/** A 64-bit seed, written as a C literal (e.g. 7 or 0xc4a05). */
+inline BenchFlag
+seedFlag(std::string name, std::uint64_t &target)
+{
+    return {std::move(name), "N", [&target](const std::string &text) {
+                return parseNumber(
+                    text, std::uint64_t{0},
+                    std::numeric_limits<std::uint64_t>::max(), target,
+                    /*cLiteral=*/true);
+            }};
 }
 
 /**
- * Shared main() of every bench binary: parse the sweep flags, run the
- * google-benchmark harness (which triggers the sweeps), print the
- * figure via @p printFn, then write the result JSON atomically.
+ * Parse argv against the shared sweep flags plus the binary's
+ * @p extra flags. An unknown argument or a malformed value exits 2,
+ * naming the argument and listing every accepted flag.
+ */
+inline void
+parseSweepFlags(int argc, char **argv, SweepOptions &options,
+                const std::vector<BenchFlag> &extra)
+{
+    std::vector<BenchFlag> flags = {
+        numberFlag("--jobs", options.jobs, 1),
+        numberFlag("--timeout-ms", options.timeoutMs, 0),
+        numberFlag("--retries", options.retries, 0),
+        numberFlag("--backoff-ms", options.backoffMs, 0),
+        pathFlag("--journal", options.journalPath),
+        switchFlag("--resume", options.resume),
+        pathFlag("--out", options.outPath),
+        switchFlag("--no-json", options.noJson),
+    };
+    flags.insert(flags.end(), extra.begin(), extra.end());
+
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        const std::size_t eq = arg.find('=');
+        const bool hasValue = eq != std::string::npos;
+        const std::string name = arg.substr(0, eq);
+        const auto flag =
+            std::find_if(flags.begin(), flags.end(),
+                         [&name](const BenchFlag &f) {
+                             return f.name == name;
+                         });
+        const char *problem = nullptr;
+        if (flag == flags.end())
+            problem = "unknown argument";
+        else if (flag->placeholder.empty() == hasValue ||
+                 !flag->set(hasValue ? arg.substr(eq + 1) : ""))
+            problem = "bad value in";
+        if (problem == nullptr)
+            continue;
+        std::string usage;
+        for (const BenchFlag &f : flags)
+            usage += " [" + f.name +
+                (f.placeholder.empty() ? "" : "=" + f.placeholder) + "]";
+        std::fprintf(stderr, "%s: %s '%s'\nusage: %s%s\n", argv[0],
+                     problem, arg.c_str(), argv[0], usage.c_str());
+        std::exit(2);
+    }
+}
+
+/**
+ * Shared main() of every bench binary: parse the shared flags plus
+ * @p extraFlags, run the figure (its sweeps and printed tables) via
+ * @p figure, then write the result JSON atomically.
  */
 inline int
 benchMain(const std::string &name, int argc, char **argv,
-          const std::function<void()> &printFn)
+          const std::function<void()> &figure,
+          const std::vector<BenchFlag> &extraFlags = {})
 {
     BenchState &state = BenchState::instance();
     state.name = name;
-    parseSweepFlags(argc, argv, state.options);
+    parseSweepFlags(argc, argv, state.options, extraFlags);
 
     // Resolve defaults that depend on the bench name.
     if (state.options.resume && state.options.journalPath.empty())
@@ -391,9 +470,7 @@ benchMain(const std::string &name, int argc, char **argv,
         }
     }
 
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    printFn();
+    figure();
 
     const RunnerCounters &counters = state.counters;
     if (counters.executed != 0 || counters.journalHits != 0) {

@@ -14,9 +14,6 @@ namespace clap::obs
 bool
 metricsEnabled()
 {
-#ifdef CLAP_OBS_DISABLED
-    return false;
-#else
     static const bool enabled = [] {
         const char *env = std::getenv("CLAP_METRICS");
         if (env == nullptr || *env == '\0')
@@ -26,7 +23,6 @@ metricsEnabled()
                  std::strcmp(env, "false") == 0);
     }();
     return enabled;
-#endif
 }
 
 double

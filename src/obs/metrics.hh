@@ -18,9 +18,8 @@
  *
  * Cost model: recording is one predicted branch (the global runtime
  * enable flag, CLAP_METRICS, default on) plus one relaxed atomic add.
- * Building with -DCLAP_OBS=OFF defines CLAP_OBS_DISABLED and compiles
- * every record path down to nothing. Neither switch may change any
- * simulation result — metrics only observe.
+ * The switch may not change any simulation result — metrics only
+ * observe.
  */
 
 #ifndef CLAP_OBS_METRICS_HH
@@ -65,14 +64,10 @@ class Counter
     void
     add(std::uint64_t n = 1)
     {
-#ifndef CLAP_OBS_DISABLED
         if (metricsEnabled()) {
             stripes_[detail::stripeIndex()].value.fetch_add(
                 n, std::memory_order_relaxed);
         }
-#else
-        (void)n;
-#endif
     }
 
     /** Merged value across all stripes. */
@@ -104,23 +99,15 @@ class Gauge
     void
     set(std::int64_t v)
     {
-#ifndef CLAP_OBS_DISABLED
         if (metricsEnabled())
             value_.store(v, std::memory_order_relaxed);
-#else
-        (void)v;
-#endif
     }
 
     void
     add(std::int64_t n)
     {
-#ifndef CLAP_OBS_DISABLED
         if (metricsEnabled())
             value_.fetch_add(n, std::memory_order_relaxed);
-#else
-        (void)n;
-#endif
     }
 
     std::int64_t
@@ -213,15 +200,11 @@ class Histogram
     void
     record(std::uint64_t v)
     {
-#ifndef CLAP_OBS_DISABLED
         if (metricsEnabled()) {
             buckets_[bucketOf(v)].fetch_add(1,
                                             std::memory_order_relaxed);
             sum_.fetch_add(v, std::memory_order_relaxed);
         }
-#else
-        (void)v;
-#endif
     }
 
     HistogramSnapshot

@@ -10,9 +10,6 @@
  * stage (see src/net/server.cc) rather than timing stages
  * independently — independent clock reads between stages would leak
  * the inter-stage nanoseconds.
- *
- * With CLAP_OBS_DISABLED the clock reads compile to 0 and the
- * records disappear, so instrumented paths cost nothing.
  */
 
 #ifndef CLAP_OBS_STAGE_TIMER_HH
@@ -26,18 +23,14 @@
 namespace clap::obs
 {
 
-/** Monotonic nanosecond stamp for stage timing (0 when compiled out). */
+/** Monotonic nanosecond stamp for stage timing. */
 inline std::uint64_t
 stageNowNs()
 {
-#ifdef CLAP_OBS_DISABLED
-    return 0;
-#else
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now().time_since_epoch())
             .count());
-#endif
 }
 
 /**

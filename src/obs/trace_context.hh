@@ -16,10 +16,8 @@
  *    (so a downstream sampler could re-enable them) but record
  *    nothing today.
  *
- * This layer is deliberately independent of CLAP_OBS_DISABLED: the
- * context is two thread-local words, and wire propagation must stay
- * testable in observability-free builds. Only span *recording*
- * (trace_events.hh) compiles out.
+ * The context is two thread-local words and propagates whether or
+ * not span recording (trace_events.hh) is enabled at runtime.
  */
 
 #ifndef CLAP_OBS_TRACE_CONTEXT_HH

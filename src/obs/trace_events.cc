@@ -278,12 +278,8 @@ class Sink
 bool
 traceEventsEnabled()
 {
-#ifdef CLAP_OBS_DISABLED
-    return false;
-#else
     static const bool enabled = Sink::instance().enabled();
     return enabled;
-#endif
 }
 
 const std::string &
@@ -319,7 +315,6 @@ setTraceEventBufferLimitForTest(std::size_t limit)
 void
 traceInstant(std::string name, std::string_view cat)
 {
-#ifndef CLAP_OBS_DISABLED
     if (!traceEventsEnabled())
         return;
     Event event;
@@ -328,38 +323,25 @@ traceInstant(std::string name, std::string_view cat)
     event.ph = 'i';
     event.tsNs = Sink::instance().nowNs();
     Sink::instance().record(std::move(event));
-#else
-    (void)name;
-    (void)cat;
-#endif
 }
 
 Expected<void>
 flushTraceEvents()
 {
-#ifdef CLAP_OBS_DISABLED
-    return ok();
-#else
     return Sink::instance().flush();
-#endif
 }
 
 std::size_t
 bufferedTraceEventCount()
 {
-#ifdef CLAP_OBS_DISABLED
-    return 0;
-#else
     if (!traceEventsEnabled())
         return 0;
     return Sink::instance().buffered();
-#endif
 }
 
 void
 Span::finish()
 {
-#ifndef CLAP_OBS_DISABLED
     if (!armed_)
         return;
     armed_ = false;
@@ -377,7 +359,6 @@ Span::finish()
     event.spanId = spanId_;
     event.parentSpanId = parentSpanId_;
     Sink::instance().record(std::move(event));
-#endif
 }
 
 } // namespace clap::obs

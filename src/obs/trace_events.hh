@@ -19,10 +19,6 @@
  * Buffers are bounded (kMaxEventsPerThread); beyond the bound events
  * are counted as dropped and reported in the emitted metadata rather
  * than growing without limit.
- *
- * Building with -DCLAP_OBS=OFF (CLAP_OBS_DISABLED) compiles the span
- * layer out entirely: spans become empty objects, record paths
- * disappear, and flushTraceEvents() is a successful no-op.
  */
 
 #ifndef CLAP_OBS_TRACE_EVENTS_HH
@@ -93,7 +89,6 @@ class Span
   public:
     explicit Span(std::string name, std::string_view cat = "clap")
     {
-#ifndef CLAP_OBS_DISABLED
         if (traceEventsEnabled()) {
             name_ = std::move(name);
             cat_ = cat;
@@ -110,10 +105,6 @@ class Span
             startNs_ = traceNowNs();
             armed_ = true;
         }
-#else
-        (void)name;
-        (void)cat;
-#endif
     }
 
     Span(const Span &) = delete;

@@ -831,9 +831,6 @@ TEST(NetVersion, SampledAmbientContextRidesTheRequest)
 
 TEST(NetStage, StageDecompositionConservesExactly)
 {
-#ifdef CLAP_OBS_DISABLED
-    GTEST_SKIP() << "obs recording compiled out (CLAP_OBS=OFF)";
-#endif
     const std::string endpoint = udsEndpoint("stages");
     TestGateway gateway(endpoint);
 
@@ -887,9 +884,6 @@ TEST(NetStage, StageDecompositionConservesExactly)
 
 TEST(NetObs, RemoteScrapeReturnsStructuredJson)
 {
-#ifdef CLAP_OBS_DISABLED
-    GTEST_SKIP() << "obs recording compiled out (CLAP_OBS=OFF)";
-#endif
     const std::string endpoint = udsEndpoint("obsfetch");
     TestGateway gateway(endpoint);
 

@@ -81,9 +81,6 @@ TEST(ObsHistogram, BucketBoundsAreConsistent)
 
 TEST(ObsHistogram, RecordAndSnapshot)
 {
-#ifdef CLAP_OBS_DISABLED
-    GTEST_SKIP() << "obs recording compiled out (CLAP_OBS=OFF)";
-#endif
     obs::Histogram hist;
     hist.record(0);
     hist.record(1);
@@ -105,9 +102,6 @@ TEST(ObsHistogram, RecordAndSnapshot)
 
 TEST(ObsCounter, AddAndMerge)
 {
-#ifdef CLAP_OBS_DISABLED
-    GTEST_SKIP() << "obs recording compiled out (CLAP_OBS=OFF)";
-#endif
     obs::Counter c;
     c.add();
     c.add(41);
@@ -118,9 +112,6 @@ TEST(ObsCounter, AddAndMerge)
 
 TEST(ObsGauge, SetAndAdd)
 {
-#ifdef CLAP_OBS_DISABLED
-    GTEST_SKIP() << "obs recording compiled out (CLAP_OBS=OFF)";
-#endif
     obs::Gauge g;
     g.set(7);
     g.add(-3);
@@ -129,9 +120,6 @@ TEST(ObsGauge, SetAndAdd)
 
 TEST(ObsRegistry, SameNameSameInstrument)
 {
-#ifdef CLAP_OBS_DISABLED
-    GTEST_SKIP() << "obs recording compiled out (CLAP_OBS=OFF)";
-#endif
     obs::Counter &a = obs::counter("test.registry.same");
     obs::Counter &b = obs::counter("test.registry.same");
     EXPECT_EQ(&a, &b);
@@ -144,9 +132,6 @@ TEST(ObsRegistry, SameNameSameInstrument)
 
 TEST(ObsConcurrency, MultiThreadRecordMergesExactly)
 {
-#ifdef CLAP_OBS_DISABLED
-    GTEST_SKIP() << "obs recording compiled out (CLAP_OBS=OFF)";
-#endif
     obs::Counter &c = obs::counter("test.concurrent.counter");
     obs::Histogram &h = obs::histogram("test.concurrent.hist");
     c.reset();
@@ -187,9 +172,6 @@ TEST(ObsConcurrency, MultiThreadRecordMergesExactly)
 
 TEST(ObsRegistry, JsonParsesAndContainsInstruments)
 {
-#ifdef CLAP_OBS_DISABLED
-    GTEST_SKIP() << "obs recording compiled out (CLAP_OBS=OFF)";
-#endif
     obs::counter("test.json.counter").reset();
     obs::counter("test.json.counter").add(5);
     obs::gauge("test.json.gauge").set(-2);
@@ -232,9 +214,6 @@ TEST(ObsRegistry, SnapshotIsNameOrdered)
 
 TEST(ObsSpans, FlushedFileIsValidTraceEventJson)
 {
-#ifdef CLAP_OBS_DISABLED
-    GTEST_SKIP() << "obs recording compiled out (CLAP_OBS=OFF)";
-#endif
     ASSERT_TRUE(spanEnvReady);
     ASSERT_TRUE(obs::traceEventsEnabled());
     ASSERT_EQ(obs::traceEventsPath(), spanFilePath());
@@ -504,9 +483,6 @@ TEST(ObsTraceContext, ContextIsPerThread)
 
 TEST(ObsTraceContext, SampledSpanChainsUnderAmbientContext)
 {
-#ifdef CLAP_OBS_DISABLED
-    GTEST_SKIP() << "obs recording compiled out (CLAP_OBS=OFF)";
-#endif
     ASSERT_TRUE(obs::traceEventsEnabled());
 
     obs::TraceContext ctx;
@@ -558,9 +534,6 @@ TEST(ObsTraceContext, SampledSpanChainsUnderAmbientContext)
 
 TEST(ObsSpans, OverflowDropsAreMirroredIntoTheRegistry)
 {
-#ifdef CLAP_OBS_DISABLED
-    GTEST_SKIP() << "obs recording compiled out (CLAP_OBS=OFF)";
-#endif
     ASSERT_TRUE(obs::traceEventsEnabled());
     obs::Counter &dropped = obs::counter("obs.trace_events.dropped");
     const std::uint64_t before = dropped.value();
@@ -579,9 +552,6 @@ TEST(ObsSpans, OverflowDropsAreMirroredIntoTheRegistry)
 
 TEST(ObsSpans, EarlyFinishIsIdempotent)
 {
-#ifdef CLAP_OBS_DISABLED
-    GTEST_SKIP() << "obs recording compiled out (CLAP_OBS=OFF)";
-#endif
     const std::size_t before = obs::bufferedTraceEventCount();
     obs::Span span("test.early", "test");
     span.finish();
