@@ -28,13 +28,13 @@ counterOk(const SatCounter &counter)
     return counter.value() <= counter.max();
 }
 
-} // namespace
-
+/** The LB invariants of set @p set, in ascending slot order. */
 Expected<void>
-auditLoadBuffer(const LoadBuffer &lb)
+auditLoadBufferSet(const LoadBuffer &lb, std::size_t set)
 {
     const unsigned assoc = lb.config().assoc;
-    for (std::size_t i = 0; i < lb.numEntries(); ++i) {
+    const std::size_t base = set * assoc;
+    for (std::size_t i = base; i < base + assoc; ++i) {
         // Probe-lane coherence: a valid way's control byte must be
         // the fingerprint of its full tag, or lookup() could miss a
         // resident entry.
@@ -49,8 +49,7 @@ auditLoadBuffer(const LoadBuffer &lb)
 
         // Tag uniqueness within the set: a duplicated tag would make
         // lookup() results depend on way order.
-        const std::size_t set = i / assoc;
-        for (std::size_t j = set * assoc; j < i; ++j) {
+        for (std::size_t j = base; j < i; ++j) {
             const LBEntryImage other = lb.imageAt(j);
             if (other.valid && other.tag == entry.tag) {
                 return corrupt("duplicate LB tag 0x" +
@@ -82,12 +81,14 @@ auditLoadBuffer(const LoadBuffer &lb)
     return ok();
 }
 
+/** The LT invariants of set @p set, in ascending slot order. */
 Expected<void>
-auditLinkTable(const LinkTable &lt)
+auditLinkTableSet(const LinkTable &lt, std::size_t set)
 {
     const CapConfig &config = lt.config();
     const unsigned assoc = lt.assoc();
-    for (std::size_t i = 0; i < lt.numEntries(); ++i) {
+    const std::size_t base = set * assoc;
+    for (std::size_t i = base; i < base + assoc; ++i) {
         // Packed probe word must agree with the full-tag lane.
         if (!lt.lanesCoherentAt(i)) {
             return corrupt("probe word disagrees with tag lane", "LT",
@@ -110,9 +111,8 @@ auditLinkTable(const LinkTable &lt)
 
         // Tag uniqueness within a set (associative organizations;
         // direct-mapped sets hold one entry, nothing to collide).
-        const std::size_t set = i / assoc;
         if (config.ltTagBits > 0) {
-            for (std::size_t j = set * assoc; j < i; ++j) {
+            for (std::size_t j = base; j < i; ++j) {
                 const LTEntry other = lt.imageAt(j);
                 if (other.valid && other.tag == entry.tag) {
                     return corrupt("duplicate LT tag 0x" +
@@ -123,6 +123,85 @@ auditLinkTable(const LinkTable &lt)
                 }
             }
         }
+    }
+    return ok();
+}
+
+/** Every set of @p table, in ascending order: the first violation. */
+template <typename Table, typename CheckSet>
+Expected<void>
+auditAllSets(const Table &table, CheckSet check)
+{
+    for (std::size_t set = 0; set < table.numSets(); ++set) {
+        if (auto v = check(table, set); !v)
+            return v;
+    }
+    return ok();
+}
+
+/** The dirty sets of @p table, in ascending order, clearing each set
+ *  that passes; a failing set stops the walk and stays dirty. */
+template <typename Table, typename CheckSet>
+Expected<void>
+auditDirtySets(Table &table, CheckSet check)
+{
+    DirtySets &dirty = table.dirtySets();
+    for (std::size_t set = dirty.next(0); set < dirty.size();
+         set = dirty.next(set + 1)) {
+        if (auto v = check(table, set); !v)
+            return v;
+        dirty.clear(set);
+    }
+    return ok();
+}
+
+} // namespace
+
+Expected<void>
+auditLoadBuffer(const LoadBuffer &lb)
+{
+    return auditAllSets(lb, auditLoadBufferSet);
+}
+
+Expected<void>
+auditLinkTable(const LinkTable &lt)
+{
+    return auditAllSets(lt, auditLinkTableSet);
+}
+
+Expected<void>
+auditDirtyLoadBuffer(LoadBuffer &lb)
+{
+    return auditDirtySets(lb, auditLoadBufferSet);
+}
+
+Expected<void>
+auditDirtyLinkTable(LinkTable &lt)
+{
+    return auditDirtySets(lt, auditLinkTableSet);
+}
+
+Expected<void>
+auditTables(const LoadBuffer &lb, const LinkTable *lt,
+            const char *predictor)
+{
+    if (auto v = auditLoadBuffer(lb); !v)
+        return std::move(v.error()).withContext(predictor);
+    if (lt != nullptr) {
+        if (auto v = auditLinkTable(*lt); !v)
+            return std::move(v.error()).withContext(predictor);
+    }
+    return ok();
+}
+
+Expected<void>
+auditDirtyTables(LoadBuffer &lb, LinkTable *lt, const char *predictor)
+{
+    if (auto v = auditDirtyLoadBuffer(lb); !v)
+        return std::move(v.error()).withContext(predictor);
+    if (lt != nullptr) {
+        if (auto v = auditDirtyLinkTable(*lt); !v)
+            return std::move(v.error()).withContext(predictor);
     }
     return ok();
 }

@@ -61,11 +61,13 @@ CapPredictor::snapshotTelemetry() const
 Expected<void>
 CapPredictor::audit() const
 {
-    if (auto v = auditLoadBuffer(lb_); !v)
-        return std::move(v.error()).withContext("cap predictor");
-    if (auto v = auditLinkTable(cap_.linkTable()); !v)
-        return std::move(v.error()).withContext("cap predictor");
-    return ok();
+    return auditTables(lb_, &cap_.linkTable(), "cap predictor");
+}
+
+Expected<void>
+CapPredictor::auditDirty()
+{
+    return auditDirtyTables(lb_, &cap_.linkTable(), "cap predictor");
 }
 
 } // namespace clap

@@ -37,6 +37,7 @@ class CapPredictor : public AddressPredictor
 
     /** LB + LT structural invariants (core/audit.hh). */
     Expected<void> audit() const override;
+    Expected<void> auditDirty() override;
 
     /** LB/LT occupancy, cap confidence hist, gate vetoes. */
     PredictorTelemetry snapshotTelemetry() const override;

@@ -132,11 +132,13 @@ HybridPredictor::snapshotTelemetry() const
 Expected<void>
 HybridPredictor::audit() const
 {
-    if (auto v = auditLoadBuffer(lb_); !v)
-        return std::move(v.error()).withContext("hybrid predictor");
-    if (auto v = auditLinkTable(cap_.linkTable()); !v)
-        return std::move(v.error()).withContext("hybrid predictor");
-    return ok();
+    return auditTables(lb_, &cap_.linkTable(), "hybrid predictor");
+}
+
+Expected<void>
+HybridPredictor::auditDirty()
+{
+    return auditDirtyTables(lb_, &cap_.linkTable(), "hybrid predictor");
 }
 
 } // namespace clap

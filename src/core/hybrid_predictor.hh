@@ -49,6 +49,7 @@ class HybridPredictor : public AddressPredictor
 
     /** Shared LB + CAP LT structural invariants (core/audit.hh). */
     Expected<void> audit() const override;
+    Expected<void> auditDirty() override;
 
     /** LB/LT occupancy, both confidence hists, selector
      *  distribution, and per-component gate vetoes. */

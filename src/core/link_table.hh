@@ -21,7 +21,9 @@
  * when the probe resolves; all lanes come from one LaneArena, shared
  * with the load buffer when the owning predictor provides one. The
  * PF-validity lane is a packed byte lane (no vector<bool> bit
- * proxies on the update path).
+ * proxies on the update path). One dirty flag per set (DirtySets)
+ * sits beside the lanes: update, setImageAt and clear raise it for
+ * the dirty-set audit (core/audit.hh).
  */
 
 #ifndef CLAP_CORE_LINK_TABLE_HH
@@ -80,7 +82,8 @@ class LinkTable
           setMask_(sets_ - 1),
           pfTableSize_(config.pfTableBits != 0
                            ? std::size_t{1} << config.pfTableBits
-                           : 0)
+                           : 0),
+          dirty_(sets_)
     {
         assert(assoc_ == 1 || config.ltTagBits > 0);
         assert(isPowerOf2(sets_));
@@ -175,6 +178,7 @@ class LinkTable
     {
         const std::size_t victim = selectVictim(hist);
         const std::uint8_t pf_new = pfBitsOf(base);
+        dirty_.mark(setIndex(hist));
 
         bool pf_match;
         if (config_.pfTableBits != 0) {
@@ -219,6 +223,7 @@ class LinkTable
     std::uint64_t pfFiltered() const { return pfFiltered_; }
 
     std::size_t numEntries() const { return numEntries_; }
+    std::size_t numSets() const { return sets_; }
     unsigned assoc() const { return assoc_; }
 
     /// @name Flat slot access (state dumps, audit, fault injection)
@@ -251,6 +256,7 @@ class LinkTable
         pf_[i] = entry.pf;
         pfValid_[i] = entry.pfValid ? 1 : 0;
         lru_[i] = entry.lru;
+        dirty_.mark(i / assoc_);
     }
 
     /** Lane coherence of slot @p i: the packed probe word must agree
@@ -282,7 +288,11 @@ class LinkTable
         }
         for (std::size_t i = 0; i < pfTableSize_; ++i)
             pfTableValid_[i] = 0;
+        dirty_.markAll();
     }
+
+    /** Sets changed since they last passed the dirty-set audit. */
+    DirtySets &dirtySets() { return dirty_; }
 
     /// @name State serialization support (core/state_io)
     /// Raw access to the LRU clock, the update counters, and the
@@ -375,6 +385,7 @@ class LinkTable
     std::uint8_t *pfValid_ = nullptr; ///< packed bytes, no bit proxies
     std::uint8_t *pfTable_ = nullptr;
     std::uint8_t *pfTableValid_ = nullptr;
+    DirtySets dirty_;
     std::uint64_t stamp_ = 0;
     std::uint64_t linkWrites_ = 0;
     std::uint64_t linkOverwrites_ = 0;

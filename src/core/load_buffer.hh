@@ -13,6 +13,11 @@
  * touched only on hit. All hot lanes come from one LaneArena, shared
  * with the link table when the owning predictor provides one.
  *
+ * Beside the lanes sits one dirty flag per set (DirtySets): lookup and
+ * acquire hits, allocate, the mutable coldAt, setImageAt and clear
+ * raise it, so the dirty-set audit (core/audit.hh) checks only the
+ * sets that changed since they last passed.
+ *
  * Every observable behavior — lookup/acquire/allocate semantics, LRU
  * stamps, generation handles, entry images — is bit-for-bit identical
  * to the scalar array-of-structs implementation; the differential
@@ -124,7 +129,8 @@ class LoadBuffer
           assocShift_(floorLog2(config.assoc)),
           ctrlWordsPerSet_((config.assoc + 7) / 8),
           cold_(config.entries),
-          gens_(config.entries, 0)
+          gens_(config.entries, 0),
+          dirty_(sets_)
     {
         assert(isPowerOf2(sets_) && isPowerOf2(assoc_));
         if (arena == nullptr) {
@@ -169,6 +175,7 @@ class LoadBuffer
                     word_base + std::countr_zero(ways);
                 if (tags_[slot] == tag) {
                     lru_[slot] = ++stamp_;
+                    dirty_.mark(set);
                     return &cold_[slot];
                 }
                 ways &= ways - 1;
@@ -207,6 +214,7 @@ class LoadBuffer
             prefetchRead(&cold_[slot]);
             if (validAt(slot) && tags_[slot] == pcTag(pc)) {
                 lru_[slot] = ++stamp_;
+                dirty_.mark(slot >> assocShift_);
                 return &cold_[slot];
             }
         }
@@ -221,7 +229,8 @@ class LoadBuffer
     LBEntry &
     allocate(std::uint64_t pc)
     {
-        const std::size_t base = setIndex(pc) << assocShift_;
+        const std::size_t set = setIndex(pc);
+        const std::size_t base = set << assocShift_;
         std::size_t victim = base;
         for (unsigned w = 1; w < assoc_; ++w) {
             if (!validAt(victim))
@@ -238,6 +247,7 @@ class LoadBuffer
         tags_[victim] = tag;
         lru_[victim] = ++stamp_;
         setCtrlByteAt(victim, probe::ctrlByte(tag));
+        dirty_.mark(set);
         ++allocations_;
         return cold_[victim];
     }
@@ -249,6 +259,8 @@ class LoadBuffer
 
     /** Total entry slots (valid or not). */
     std::size_t numEntries() const { return cold_.size(); }
+
+    std::size_t numSets() const { return sets_; }
 
     /// @name Flat slot access (state dumps, audit, fault injection)
     /// None of these touch LRU. @pre i < numEntries()
@@ -276,11 +288,17 @@ class LoadBuffer
         lru_[i] = image.lruStamp;
         setCtrlByteAt(i, image.valid ? probe::ctrlByte(image.tag)
                                      : std::uint8_t{0});
+        dirty_.mark(i >> assocShift_);
     }
 
     /** Mutable cold fields of slot @p i (fault injection targets the
      *  histories and counters; the probe lanes are unaffected). */
-    LBEntry &coldAt(std::size_t i) { return cold_[i]; }
+    LBEntry &
+    coldAt(std::size_t i)
+    {
+        dirty_.mark(i >> assocShift_);
+        return cold_[i];
+    }
     const LBEntry &coldAt(std::size_t i) const { return cold_[i]; }
 
     bool
@@ -313,7 +331,11 @@ class LoadBuffer
         }
         for (auto &gen : gens_)
             ++gen;
+        dirty_.markAll();
     }
+
+    /** Sets changed since they last passed the dirty-set audit. */
+    DirtySets &dirtySets() { return dirty_; }
 
     /// @name State serialization support (core/state_io)
     /// Raw access to the LRU clock and allocation counter so a
@@ -374,6 +396,7 @@ class LoadBuffer
     std::uint64_t *lru_ = nullptr;  ///< LRU stamps, per slot
     std::vector<LBEntry> cold_;
     std::vector<std::uint32_t> gens_; ///< per-slot allocation generation
+    DirtySets dirty_;
     std::uint64_t stamp_ = 0;
     std::uint64_t allocations_ = 0;
 };

@@ -125,6 +125,17 @@ class AddressPredictor
     virtual Expected<void> audit() const { return ok(); }
 
     /**
+     * The same invariants as audit(), checked only over the table sets
+     * changed through the table APIs since they last passed (the
+     * dirty-set audit of core/audit.hh). A passing set's dirty flag is
+     * cleared; a failing set stays dirty, so it fails again until it
+     * is repaired. The serve layer runs this after every batch. State
+     * changed outside the table APIs marks no set, and only audit()
+     * finds it. The default runs the full audit().
+     */
+    virtual Expected<void> auditDirty() { return audit(); }
+
+    /**
      * Deterministic snapshot of internal predictor state for
      * diagnostics (core/telemetry.hh): table occupancy, confidence
      * and selector distributions, gate-veto attribution. Never part

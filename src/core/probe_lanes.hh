@@ -24,17 +24,22 @@
  * be flagged: every probe target has the valid bit (0x80) set, exact
  * compares never equal 0x00, and the SWAR residue `0x00 ^ target`
  * keeps its high bit, which the trick masks out.
+ *
+ * Beside the lanes, each table keeps one dirty flag per set
+ * (DirtySets) for the dirty-set audit of core/audit.hh.
  */
 
 #ifndef CLAP_CORE_PROBE_LANES_HH
 #define CLAP_CORE_PROBE_LANES_HH
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "util/bits.hh"
 
@@ -124,6 +129,45 @@ class LaneArena
     std::size_t used_ = 0;
 };
 
+/**
+ * One dirty flag per table set, a byte each. A table raises a set's
+ * flag on every path that writes the set's state or hands out a
+ * mutable entry in it; the dirty-set audit (core/audit.hh) clears the
+ * flag once the set passes. So a clean set has not changed through
+ * the table API since it last passed the audit. A byte rather than a
+ * bit makes a mark one store with no load in front of it, on the
+ * probe's hot path; the audit's walk pays instead, with a memchr.
+ */
+class DirtySets
+{
+  public:
+    explicit DirtySets(std::size_t sets) : flags_(sets, 0) {}
+
+    std::size_t size() const { return flags_.size(); }
+
+    void mark(std::size_t set) { flags_[set] = 1; }
+
+    void markAll() { std::fill(flags_.begin(), flags_.end(), 1); }
+
+    void clear(std::size_t set) { flags_[set] = 0; }
+
+    /** The first dirty set at or after @p from, or size() if none. */
+    std::size_t
+    next(std::size_t from) const
+    {
+        if (from >= flags_.size())
+            return flags_.size();
+        const void *hit = std::memchr(flags_.data() + from, 1,
+                                      flags_.size() - from);
+        return hit == nullptr
+                   ? flags_.size()
+                   : static_cast<const std::uint8_t *>(hit) - flags_.data();
+    }
+
+  private:
+    std::vector<std::uint8_t> flags_;
+};
+
 namespace probe
 {
 
@@ -177,9 +221,15 @@ inline std::uint32_t
 candidateWays(std::uint64_t ctrl_word, std::uint8_t target)
 {
 #if defined(CLAP_PROBE_SSE2)
+    // Broadcast the target in a general register, not with
+    // _mm_set1_epi8: under register pressure GCC builds that from a
+    // byte spilled to the stack, and a 4-byte reload of a 1-byte store
+    // cannot be store-forwarded, so the probe waits for the store
+    // buffer to drain.
     const __m128i word =
         _mm_cvtsi64_si128(static_cast<long long>(ctrl_word));
-    const __m128i wanted = _mm_set1_epi8(static_cast<char>(target));
+    const __m128i wanted =
+        _mm_cvtsi64_si128(static_cast<long long>(kLsbBytes * target));
     return static_cast<std::uint32_t>(
                _mm_movemask_epi8(_mm_cmpeq_epi8(word, wanted))) &
            0xffu;

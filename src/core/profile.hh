@@ -123,6 +123,13 @@ class ProfileAssistedPredictor : public AddressPredictor
     /** Loads filtered out by the profile (diagnostics). */
     std::uint64_t filteredLoads() const { return filtered_; }
 
+    /** The wrapped hybrid's tables (core/audit.hh). */
+    Expected<void> audit() const override { return hybrid_.audit(); }
+    Expected<void> auditDirty() override { return hybrid_.auditDirty(); }
+
+    /** The wrapped hybrid (inspection, fault injection). */
+    HybridPredictor &hybrid() { return hybrid_; }
+
     /** Delegates to the wrapped hybrid (its name is reported). */
     PredictorTelemetry
     snapshotTelemetry() const override

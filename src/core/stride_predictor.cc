@@ -61,9 +61,13 @@ StridePredictor::snapshotTelemetry() const
 Expected<void>
 StridePredictor::audit() const
 {
-    if (auto v = auditLoadBuffer(lb_); !v)
-        return std::move(v.error()).withContext("stride predictor");
-    return ok();
+    return auditTables(lb_, nullptr, "stride predictor");
+}
+
+Expected<void>
+StridePredictor::auditDirty()
+{
+    return auditDirtyTables(lb_, nullptr, "stride predictor");
 }
 
 } // namespace clap

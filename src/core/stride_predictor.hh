@@ -34,6 +34,7 @@ class StridePredictor : public AddressPredictor
 
     /** LB structural invariants (core/audit.hh). */
     Expected<void> audit() const override;
+    Expected<void> auditDirty() override;
 
     /** LB occupancy, stride confidence hist, gate vetoes. */
     PredictorTelemetry snapshotTelemetry() const override;

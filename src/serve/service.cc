@@ -333,6 +333,8 @@ PredictionService::processBatch(Shard &shard,
     static obs::Counter &predicts = obs::counter("serve.predicts");
     static obs::Counter &trains = obs::counter("serve.trains");
     static obs::Counter &batches = obs::counter("serve.batches");
+    static obs::Counter &audits = obs::counter("serve.audits");
+    static obs::Histogram &auditNs = obs::histogram("serve.audit_ns");
     static obs::Histogram &batchSize =
         obs::histogram("serve.batch_size");
     static obs::Histogram &queueDepth =
@@ -412,9 +414,15 @@ PredictionService::processBatch(Shard &shard,
             ++shard.batches;
             if (config_.auditEveryBatches != 0 &&
                 shard.batches % config_.auditEveryBatches == 0) {
+                // The dirty-set audit: only the sets written since
+                // they last passed. captureShardState() runs the full
+                // audit, for writes that bypassed the table APIs.
                 ++shard.audits;
-                if (auto audit = shard.predictor->audit();
-                    !audit && !shard.auditFailed) {
+                const std::uint64_t auditStartNs = obs::stageNowNs();
+                auto audit = shard.predictor->auditDirty();
+                auditNs.record(obs::stageNowNs() - auditStartNs);
+                audits.add();
+                if (!audit && !shard.auditFailed) {
                     shard.auditFailed = true;
                     shard.auditError =
                         std::move(audit.error())
@@ -560,6 +568,19 @@ PredictionService::captureShardState(unsigned shard_index)
     static obs::Counter &captures = obs::counter("serve.captures");
     Shard &shard = *shards_[shard_index];
     std::lock_guard<std::mutex> lock(shard.mutex);
+    // The per-batch audit sees only sets written through the table
+    // APIs; a full audit here keeps state corrupted any other way out
+    // of the snapshot that recovery would restore.
+    if (auto audited = shard.predictor->audit(); !audited) {
+        if (!shard.auditFailed) {
+            shard.auditFailed = true;
+            shard.auditError =
+                Error(audited.error()).withContext("pre-capture audit");
+        }
+        return std::move(audited.error())
+            .withContext("capturing shard " +
+                         std::to_string(shard_index));
+    }
     ServeCounters counters;
     counters.stats = shard.stats;
     counters.predicts = shard.predicts;

@@ -17,6 +17,11 @@
  * paying the mutex/notify cost once per batch instead of once per
  * request, and runs the structural invariant auditor (core/audit.hh)
  * over the shard's predictor after every auditEveryBatches-th batch.
+ * That per-batch audit is the dirty-set walk: it checks only the LB
+ * and LT sets written since they last passed, a few sets per batch
+ * rather than every entry. captureShardState() runs the full audit,
+ * so a shard corrupted outside the table APIs (which marks no set) is
+ * refused, not persisted.
  *
  * Deterministic mode (ServiceConfig::deterministic) runs without
  * worker threads: the submitting thread itself drains the shard
@@ -78,9 +83,12 @@ struct ServiceConfig
     /// for the semantics cross-check and for debugging.
     bool deterministic = false;
 
-    /// Run the structural auditor on a shard's predictor after every
-    /// N-th processed batch (0 disables). Audit failures are recorded
-    /// per shard and surfaced via PredictionService::health().
+    /// Run the dirty-set audit (AddressPredictor::auditDirty) on a
+    /// shard's predictor after every N-th processed batch (0
+    /// disables); it checks the table sets written since they last
+    /// passed. Audit failures are recorded per shard and surfaced via
+    /// PredictionService::health(). The full audit runs before every
+    /// captureShardState() regardless of this setting.
     unsigned auditEveryBatches = 1;
 
     /// Bounded per-shard journal of requests applied since the last
@@ -135,7 +143,7 @@ struct ShardSnapshot
     std::uint64_t predicts = 0;   ///< predict requests processed
     std::uint64_t trains = 0;     ///< train requests processed
     std::uint64_t batches = 0;    ///< queue drain rounds
-    std::uint64_t audits = 0;     ///< auditor runs
+    std::uint64_t audits = 0;     ///< per-batch auditor runs
     std::uint64_t rejected = 0;   ///< requests refused as Overloaded
     std::size_t queueDepth = 0;   ///< current mailbox depth
     std::size_t maxQueueDepth = 0;///< mailbox high-water mark
@@ -258,6 +266,9 @@ class PredictionService
      * plus the serve-side counters as a caller section — under the
      * shard lock, and reset the journal epoch: requests applied after
      * this capture are journaled for restoreShardState() to replay.
+     * The full audit() runs first: on a violation the capture is
+     * refused with its CorruptedState error, which is also recorded
+     * as the shard's audit failure (shardHealth() reports it).
      */
     Expected<std::string> captureShardState(unsigned shard_index);
 

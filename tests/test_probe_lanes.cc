@@ -136,6 +136,28 @@ TEST(LaneArena, AlignedZeroedAndBounded)
     EXPECT_THROW(arena.alloc<std::uint8_t>(1), std::logic_error);
 }
 
+TEST(DirtySets, WalkIsAscendingAndBounded)
+{
+    DirtySets dirty(100);
+    EXPECT_EQ(dirty.next(0), 100u);
+    dirty.mark(70);
+    dirty.mark(3);
+    dirty.mark(63);
+    EXPECT_EQ(dirty.next(0), 3u);
+    EXPECT_EQ(dirty.next(4), 63u);
+    EXPECT_EQ(dirty.next(64), 70u);
+    EXPECT_EQ(dirty.next(71), 100u);
+    dirty.clear(63);
+    EXPECT_EQ(dirty.next(4), 70u);
+
+    // markAll raises every set, and the walk stops at size().
+    dirty.markAll();
+    for (std::size_t set = 0; set < 100; ++set)
+        EXPECT_EQ(dirty.next(set), set);
+    EXPECT_EQ(dirty.next(100), 100u);
+    EXPECT_EQ(dirty.next(127), 100u);
+}
+
 // ---------------------------------------------------------------
 // Scalar reference implementations (the pre-SoA code, verbatim
 // semantics, trimmed to the observable surface)

@@ -112,6 +112,27 @@ TEST(ProfileAssisted, FiltersUnknownLoads)
     EXPECT_TRUE(pred.predict(known).speculate);
 }
 
+TEST(ProfileAssisted, AuditChecksTheWrappedHybrid)
+{
+    ProfileAssistedPredictor pred(HybridConfig{}, {});
+    EXPECT_TRUE(pred.audit());
+
+    // Two ways of LB set 0 with one tag.
+    LoadBuffer &lb = pred.hybrid().loadBuffer();
+    LBEntryImage image;
+    image.valid = true;
+    image.tag = 0x123;
+    lb.setImageAt(0, image);
+    lb.setImageAt(1, image);
+
+    const auto audited = pred.audit();
+    ASSERT_FALSE(audited);
+    EXPECT_EQ(audited.error().code(), ErrorCode::CorruptedState);
+    const auto dirty = pred.auditDirty();
+    ASSERT_FALSE(dirty);
+    EXPECT_EQ(dirty.error().str(), audited.error().str());
+}
+
 TEST(ProfileAssisted, EndToEndBeatsPlainHybridAtSmallTables)
 {
     // The section-6 claim: classification "helps reducing predictor

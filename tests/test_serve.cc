@@ -269,6 +269,87 @@ TEST(ServeDeterministic, AuditRunsPerBatch)
     EXPECT_TRUE(service.health());
 }
 
+/** A hybrid with a 2-way LT, where two ways can share a tag. */
+PredictorFactory
+twoWayLtFactory()
+{
+    return [] {
+        HybridConfig config;
+        config.cap.ltAssoc = 2;
+        return std::make_unique<HybridPredictor>(config);
+    };
+}
+
+/** Give both ways of LT set 5 one tag, through the table API. */
+void
+plantDuplicateLtTag(PredictionService &service)
+{
+    service.withShardPredictor(0, [](AddressPredictor &pred) {
+        LinkTable &lt =
+            dynamic_cast<HybridPredictor &>(pred).capComponent().linkTable();
+        LTEntry entry;
+        entry.valid = true;
+        entry.tag = 0x5;
+        lt.setImageAt(10, entry);
+        lt.setImageAt(11, entry);
+    });
+}
+
+TEST(ServeDeterministic, PerBatchAuditFindsCorruptionInUntouchedSet)
+{
+    ServiceConfig config;
+    config.shards = 1;
+    config.deterministic = true;
+    config.auditEveryBatches = 1;
+    PredictionService service(config, twoWayLtFactory());
+    ClientSession session = service.connect();
+    auto warm = session.predict(0x2000, 0);
+    ASSERT_TRUE(warm);
+    ASSERT_TRUE(session.train(0x2000, 0, 0x8000, *warm));
+    ASSERT_TRUE(service.health());
+
+    // A predict never writes the link table, so only the planting
+    // itself marks LT set 5 for the next batch's dirty-set audit.
+    plantDuplicateLtTag(service);
+    EXPECT_TRUE(service.health()); // no batch has run since
+    ASSERT_TRUE(session.predict(0x3000, 0));
+    const auto health = service.health();
+    ASSERT_FALSE(health);
+    EXPECT_EQ(health.error().code(), ErrorCode::CorruptedState);
+    const std::string text = health.error().str();
+    EXPECT_NE(text.find("per-batch audit"), std::string::npos) << text;
+    EXPECT_NE(text.find("LT entry 11"), std::string::npos) << text;
+    EXPECT_EQ(service.snapshot()[0].audits, 3u);
+}
+
+TEST(ServeDeterministic, CaptureRefusesStateTheFullAuditRejects)
+{
+    ServiceConfig config;
+    config.shards = 1;
+    config.deterministic = true;
+    config.auditEveryBatches = 0; // nothing audits between batches
+    PredictionService service(config, twoWayLtFactory());
+    ClientSession session = service.connect();
+    ASSERT_TRUE(service.captureShardState(0)); // clean state captures
+
+    plantDuplicateLtTag(service);
+    auto pred = session.predict(0x2000, 0);
+    ASSERT_TRUE(pred);
+    ASSERT_TRUE(session.train(0x2000, 0, 0x8000, *pred));
+    EXPECT_TRUE(service.shardHealth(0));
+
+    const auto captured = service.captureShardState(0);
+    ASSERT_FALSE(captured);
+    EXPECT_EQ(captured.error().code(), ErrorCode::CorruptedState);
+    const auto health = service.shardHealth(0);
+    ASSERT_FALSE(health);
+    const std::string text = health.error().str();
+    EXPECT_NE(text.find("pre-capture audit"), std::string::npos) << text;
+    const auto snap = service.snapshot();
+    EXPECT_EQ(snap[0].captures, 1u);
+    EXPECT_EQ(snap[0].audits, 0u); // audits counts per-batch runs only
+}
+
 TEST(ServeSession, HistoryTracksBranchesAndCalls)
 {
     ServiceConfig config;
