@@ -1,7 +1,7 @@
 /**
  * @file
  * Chaos harness for the shard lifecycle layer (serve/supervisor.hh +
- * serve/chaos.hh): drives a deterministic PredictionService through
+ * serve/chaos.hh): drives a single-client PredictionService through
  * repeated fault/kill/restore cycles and checks the recovery
  * guarantees the design document states.
  *
@@ -27,9 +27,9 @@
  *    zero shards end unrecovered or quarantined, and the service is
  *    healthy at the end.
  *
- * Everything is seeded (--chaos-seed) and the service runs in
- * deterministic mode, so BENCH_chaos.json is byte-identical across
- * runs with the same seed and environment. Flags, on top of the
+ * Everything is seeded (--chaos-seed) and one client drives the
+ * service, so BENCH_chaos.json is byte-identical across runs with the
+ * same seed and environment. Flags, on top of the
  * shared bench/sweep flags:
  *
  *   --chaos-seed=N  injection-sequence seed (default 0xc4a05)
@@ -193,8 +193,6 @@ runChaosCell(const std::string &phase, const TraceSpec &spec,
 
     ServiceConfig config;
     config.shards = shards;
-    config.deterministic = true;
-    config.overload = OverloadPolicy::Block;
     config.auditEveryBatches = 64;
     config.journalCapacity = 32768;
     PredictionService service(config, hybridFactory());

@@ -191,7 +191,6 @@ results()
 
     ServiceConfig serviceConfig;
     serviceConfig.shards = out.shards;
-    serviceConfig.overload = OverloadPolicy::Block;
     PredictionService service(serviceConfig, hybridFactory());
 
     ServerConfig serverConfig;

@@ -117,8 +117,6 @@ runChaosTier(const ChaosTier &tier, const Trace &trace)
 
     ServiceConfig serviceConfig;
     serviceConfig.shards = 2;
-    serviceConfig.deterministic = true;
-    serviceConfig.overload = OverloadPolicy::Block;
     PredictionService service(serviceConfig, hybridFactory());
 
     const std::string path = socketPath("netchaos", "chaos-" + row.tier);

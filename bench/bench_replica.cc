@@ -4,7 +4,7 @@
  * trace through one ReplicaGateway endpoint fronting N spawned clapd
  * processes (bench/clapd_util.hh), and the harness asserts the
  * contract the layer was designed around — the replica set is
- * indistinguishable from one unsharded deterministic service.
+ * indistinguishable from one unsharded single-client service.
  * Aggregate PredictionStats must equal serve/crosscheck's
  * shardedReferenceStats bit for bit, the divergence auditor must find
  * every replica's per-shard stats identical after a drain, and

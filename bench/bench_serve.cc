@@ -3,18 +3,17 @@
  * Load generator for the sharded prediction service (src/serve/):
  * M concurrent client threads replay workload-composer traces against
  * a PredictionService and the harness reports aggregate throughput,
- * per-request predict latency percentiles (p50/p95/p99), and
- * per-shard queue depth, for the 1-shard baseline versus the sharded
- * configurations — the serving-layer scaling experiment the paper's
- * inline simulator cannot express.
+ * per-request predict latency percentiles (p50/p95/p99), and the
+ * most callers seen on one shard at once, for the 1-shard baseline
+ * versus the sharded configurations — the serving-layer scaling
+ * experiment the paper's inline simulator cannot express.
  *
  * A second, deterministic phase runs the semantics cross-check
  * (serve/crosscheck.hh) as sweep jobs through the resilient runner:
- * for each (trace, shards) cell, a single-threaded deterministic
- * service replay must produce PredictionStats bit-for-bit equal to
- * the sharded PredictorSim reference. A mismatch fails the job (and
- * the harness exits non-zero), which is what the CI serve-smoke job
- * asserts.
+ * for each (trace, shards) cell, a single-client service replay must
+ * produce PredictionStats bit-for-bit equal to the sharded
+ * PredictorSim reference. A mismatch fails the job (and the harness
+ * exits non-zero), which is what the CI serve-smoke job asserts.
  *
  * Environment knobs (besides the shared bench/sweep flags):
  *   CLAP_SERVE_SHARDS   sharded configuration size (default 4;
@@ -101,7 +100,6 @@ struct LoadPoint
     unsigned shards = 0;
     unsigned clients = 0;
     std::uint64_t loads = 0;
-    std::uint64_t overloaded = 0;
     double elapsedSec = 0.0;
     double p50Us = 0.0;
     double p95Us = 0.0;
@@ -123,7 +121,7 @@ struct LoadPoint
     {
         return elapsedSec <= 0.0
             ? 0.0
-            : static_cast<double>(loads - overloaded) / elapsedSec;
+            : static_cast<double>(loads) / elapsedSec;
     }
 };
 
@@ -137,7 +135,6 @@ runLoadPhase(unsigned shards, unsigned clients,
 
     ServiceConfig config;
     config.shards = shards;
-    config.overload = OverloadPolicy::Block;
     if (chaos)
         config.journalCapacity = 32768;
     PredictionService service(config, hybridFactory());
@@ -237,7 +234,6 @@ runLoadPhase(unsigned shards, unsigned clients,
             continue;
         }
         point.loads += results[c]->loads;
-        point.overloaded += results[c]->overloaded;
         point.unavailable += results[c]->unavailable;
         for (std::uint32_t ns : results[c]->latenciesNs)
             latency.addValue(ns);
@@ -301,8 +297,8 @@ crosscheckJob(const std::string &key, const TraceSpec &spec,
             globalTraceStore().get(spec, defaultTraceLength());
         ServiceConfig config;
         config.shards = shards;
-        // Deterministic mode drains batch-per-request; audit every
-        // request would be O(table-size * trace-length) per cell.
+        // A sparser audit keeps the replay cheap; audits do not
+        // change stats.
         config.auditEveryBatches = 256;
         auto checked = crosscheckTrace(*trace, hybridFactory(), config);
         if (!checked) {

@@ -34,8 +34,6 @@
 #define CLAP_BENCH_BENCH_UTIL_HH
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -59,6 +57,7 @@
 #include "trace/trace_store.hh"
 #include "util/atomic_file.hh"
 #include "util/json.hh"
+#include "util/parse_number.hh"
 #include "util/table.hh"
 
 namespace clap::bench
@@ -302,40 +301,6 @@ benchJson()
     }
     json += "\n  ]\n}\n";
     return json;
-}
-
-/**
- * The one number parser behind every bench flag: all of @p text must
- * be a number in [@p lo, @p hi], with no sign, space or trailing
- * characters. Integers are decimal; with @p cLiteral they read as C
- * literals instead (0x hex, leading-0 octal), the way seeds are
- * written. Leaves @p out alone and returns false otherwise.
- */
-template <typename T>
-bool
-parseNumber(const std::string &text, T lo, T hi, T &out,
-            bool cLiteral = false)
-{
-    const char first = text.empty() ? '\0' : text[0];
-    if (!std::isdigit(static_cast<unsigned char>(first)) &&
-        !(std::is_floating_point_v<T> && first == '.'))
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    T value{};
-    if constexpr (std::is_floating_point_v<T>) {
-        value = std::strtod(text.c_str(), &end);
-    } else {
-        const unsigned long long wide =
-            std::strtoull(text.c_str(), &end, cLiteral ? 0 : 10);
-        if (wide > std::numeric_limits<T>::max())
-            return false;
-        value = static_cast<T>(wide);
-    }
-    if (errno != 0 || *end != '\0' || !(value >= lo && value <= hi))
-        return false;
-    out = value;
-    return true;
 }
 
 /** One flag a bench binary accepts: "--name" for a switch, else

@@ -44,10 +44,10 @@ chaosBenchTrace()
 }
 
 /**
- * One spawned `clapd --deterministic` process: the default server
- * config in front of a deterministic Block-mode service of default
- * hybrid predictors, with no supervisor. Deterministic mode makes a
- * single connection's request stream a pure function of its order,
+ * One spawned `clapd` process: the default server config in front of
+ * a service of default hybrid predictors, with no supervisor. Each
+ * request runs on its connection's thread under the shard lock, so a
+ * single connection's request stream is a pure function of its order,
  * which is what the same-seed JSON and stats-equality checks need.
  */
 class ClapdProcess
@@ -74,12 +74,10 @@ class ClapdProcess
         std::string args[] = {CLAP_CLAPD_PATH,
                               "--endpoint=" + endpoint,
                               "--shards=" + std::to_string(shards),
-                              "--deterministic",
                               "--ready-fd=" + std::to_string(ready[1]),
                               "--quiet"};
         char *argv[] = {args[0].data(), args[1].data(), args[2].data(),
-                        args[3].data(), args[4].data(), args[5].data(),
-                        nullptr};
+                        args[3].data(), args[4].data(), nullptr};
 
         pid_ = fork();
         if (pid_ < 0) {

@@ -15,8 +15,7 @@
  *
  * Usage:
  *   clapd [--endpoint=unix:/tmp/clapd.sock | --endpoint=tcp:127.0.0.1:0]
- *         [--shards=N] [--queue-capacity=N] [--max-batch=N]
- *         [--deterministic] [--journal-capacity=N]
+ *         [--shards=N] [--journal-capacity=N]
  *         [--supervise] [--snapshot-dir=DIR] [--snapshot-interval-ms=N]
  *         [--max-connections=N] [--max-inflight=N]
  *         [--read-deadline-ms=N] [--write-deadline-ms=N]
@@ -25,10 +24,14 @@
  *
  * --ready-fd=N writes one byte to descriptor N (then closes it) once
  * the listener is bound — the no-poll readiness handshake a parent
- * process (a bench or a script) waits on. --deterministic runs the
- * service without worker threads, which makes a single-connection
- * request stream a pure function of its order — the mode the benches'
- * stats-equality checks require.
+ * process (a bench or a script) waits on. Each connection's thread runs
+ * its requests itself, under the target shard's lock, so a
+ * single-connection request stream is a pure function of its order —
+ * what the benches' stats-equality checks rely on. Admission sheds
+ * predicts once --shed-fraction of --max-inflight callers are running
+ * on or waiting for the shards, and rejects everything at
+ * --reject-fraction. A malformed or out-of-range number exits 2,
+ * naming the flag.
  *
  * clapd --probe=SPEC [--shutdown] turns the binary into a one-shot
  * client instead: connect, ping, one predict/train round trip, and
@@ -43,8 +46,8 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -55,6 +58,7 @@
 #include "net/server.hh"
 #include "serve/service.hh"
 #include "serve/supervisor.hh"
+#include "util/parse_number.hh"
 
 namespace
 {
@@ -142,9 +146,7 @@ usage(const char *argv0)
 {
     std::fprintf(stderr,
                  "usage: %s [--endpoint=SPEC] [--shards=N] "
-                 "[--queue-capacity=N] [--max-batch=N]\n"
-                 "          [--deterministic] [--journal-capacity=N] "
-                 "[--supervise]\n"
+                 "[--journal-capacity=N] [--supervise]\n"
                  "          [--snapshot-dir=DIR] "
                  "[--snapshot-interval-ms=N]\n"
                  "          [--max-connections=N] [--max-inflight=N]\n"
@@ -162,6 +164,8 @@ parseOptions(int argc, char **argv, Options &opts)
     opts.service.shards = 4;
     opts.supervisor.filePrefix = "clapd";
     opts.supervisor.snapshotIntervalMs = 100;
+    constexpr unsigned maxUnsigned = std::numeric_limits<unsigned>::max();
+    constexpr int maxInt = std::numeric_limits<int>::max();
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto valueOf = [&arg](const char *prefix) -> const char * {
@@ -169,42 +173,37 @@ parseOptions(int argc, char **argv, Options &opts)
             return arg.compare(0, len, prefix) == 0 ? arg.c_str() + len
                                                     : nullptr;
         };
+        bool valid = true; // false: a number flag's value is bad
         if (const char *v = valueOf("--endpoint=")) {
             opts.server.endpoint = v;
         } else if (const char *v = valueOf("--shards=")) {
-            opts.service.shards = static_cast<unsigned>(std::atol(v));
-        } else if (const char *v = valueOf("--queue-capacity=")) {
-            opts.service.queueCapacity =
-                static_cast<std::size_t>(std::atol(v));
-        } else if (const char *v = valueOf("--max-batch=")) {
-            opts.service.maxBatch = static_cast<std::size_t>(std::atol(v));
-        } else if (arg == "--deterministic") {
-            opts.service.deterministic = true;
+            valid = parseNumber(v, 1u, 4096u, opts.service.shards);
         } else if (const char *v = valueOf("--journal-capacity=")) {
-            opts.service.journalCapacity =
-                static_cast<std::size_t>(std::atol(v));
+            valid = parseNumber(v, std::size_t{0},
+                                std::numeric_limits<std::size_t>::max(),
+                                opts.service.journalCapacity);
         } else if (arg == "--supervise") {
             opts.supervise = true;
         } else if (const char *v = valueOf("--snapshot-dir=")) {
             opts.supervisor.snapshotDir = v;
         } else if (const char *v = valueOf("--snapshot-interval-ms=")) {
-            opts.supervisor.snapshotIntervalMs =
-                static_cast<unsigned>(std::atol(v));
+            valid = parseNumber(v, 0u, maxUnsigned,
+                                opts.supervisor.snapshotIntervalMs);
         } else if (const char *v = valueOf("--max-connections=")) {
-            opts.server.maxConnections =
-                static_cast<unsigned>(std::atol(v));
+            valid = parseNumber(v, 1u, maxUnsigned,
+                                opts.server.maxConnections);
         } else if (const char *v = valueOf("--max-inflight=")) {
-            opts.server.maxInFlight = static_cast<unsigned>(std::atol(v));
+            valid = parseNumber(v, 1u, maxUnsigned, opts.server.maxInFlight);
         } else if (const char *v = valueOf("--read-deadline-ms=")) {
-            opts.server.readDeadlineMs = std::atoi(v);
+            valid = parseNumber(v, 1, maxInt, opts.server.readDeadlineMs);
         } else if (const char *v = valueOf("--write-deadline-ms=")) {
-            opts.server.writeDeadlineMs = std::atoi(v);
+            valid = parseNumber(v, 1, maxInt, opts.server.writeDeadlineMs);
         } else if (const char *v = valueOf("--shed-fraction=")) {
-            opts.server.shedFraction = std::atof(v);
+            valid = parseNumber(v, 0.0, 1.0, opts.server.shedFraction);
         } else if (const char *v = valueOf("--reject-fraction=")) {
-            opts.server.rejectFraction = std::atof(v);
+            valid = parseNumber(v, 0.0, 1.0, opts.server.rejectFraction);
         } else if (const char *v = valueOf("--ready-fd=")) {
-            opts.readyFd = std::atoi(v);
+            valid = parseNumber(v, 0, maxInt, opts.readyFd);
         } else if (const char *v = valueOf("--probe=")) {
             opts.probe = v;
         } else if (arg == "--shutdown") {
@@ -216,6 +215,12 @@ parseOptions(int argc, char **argv, Options &opts)
             return false;
         } else {
             std::fprintf(stderr, "clapd: unknown flag '%s'\n",
+                         arg.c_str());
+            usage(argv[0]);
+            return false;
+        }
+        if (!valid) {
+            std::fprintf(stderr, "clapd: bad value in '%s'\n",
                          arg.c_str());
             usage(argv[0]);
             return false;

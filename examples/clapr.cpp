@@ -26,7 +26,8 @@
  * every shard). --ready-fd writes one byte once the listener is
  * bound, the same readiness handshake clapd offers. Shutdown frames
  * stop clapr itself; the replicas are separate processes and keep
- * running.
+ * running. A malformed or out-of-range number exits 2, naming the
+ * flag.
  */
 
 #include <unistd.h>
@@ -35,8 +36,8 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -45,6 +46,7 @@
 #include "obs/trace_events.hh"
 #include "replica/gateway.hh"
 #include "replica/health.hh"
+#include "util/parse_number.hh"
 
 namespace
 {
@@ -91,6 +93,8 @@ parseOptions(int argc, char **argv, Options &opts)
 {
     opts.server.endpoint = "unix:/tmp/clapr.sock";
     opts.server.serverName = "clapr";
+    constexpr unsigned maxUnsigned = std::numeric_limits<unsigned>::max();
+    constexpr int maxInt = std::numeric_limits<int>::max();
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto valueOf = [&arg](const char *prefix) -> const char * {
@@ -98,12 +102,13 @@ parseOptions(int argc, char **argv, Options &opts)
             return arg.compare(0, len, prefix) == 0 ? arg.c_str() + len
                                                     : nullptr;
         };
+        bool valid = true; // false: a number flag's value is bad
         if (const char *v = valueOf("--replica=")) {
             opts.gateway.replicas.push_back(v);
         } else if (const char *v = valueOf("--endpoint=")) {
             opts.server.endpoint = v;
         } else if (const char *v = valueOf("--shards=")) {
-            opts.gateway.shards = static_cast<unsigned>(std::atol(v));
+            valid = parseNumber(v, 1u, maxUnsigned, opts.gateway.shards);
         } else if (const char *v = valueOf("--balance=")) {
             if (std::strcmp(v, "seeded") == 0) {
                 opts.gateway.balance =
@@ -116,27 +121,29 @@ parseOptions(int argc, char **argv, Options &opts)
                 return false;
             }
         } else if (const char *v = valueOf("--balance-seed=")) {
-            opts.gateway.balanceSeed =
-                static_cast<std::uint64_t>(std::strtoull(v, nullptr, 0));
+            valid = parseNumber(v, std::uint64_t{0},
+                                std::numeric_limits<std::uint64_t>::max(),
+                                opts.gateway.balanceSeed,
+                                /*cLiteral=*/true);
         } else if (const char *v = valueOf("--strikes=")) {
-            opts.gateway.maxStrikes =
-                static_cast<unsigned>(std::atol(v));
+            valid = parseNumber(v, 0u, maxUnsigned, opts.gateway.maxStrikes);
         } else if (const char *v = valueOf("--journal-capacity=")) {
-            opts.gateway.journalCapacity =
-                static_cast<std::size_t>(std::atol(v));
+            valid = parseNumber(v, std::size_t{0},
+                                std::numeric_limits<std::size_t>::max(),
+                                opts.gateway.journalCapacity);
         } else if (const char *v = valueOf("--health-interval-ms=")) {
-            opts.healthIntervalMs = static_cast<unsigned>(std::atol(v));
+            valid = parseNumber(v, 0u, maxUnsigned, opts.healthIntervalMs);
         } else if (const char *v = valueOf("--max-connections=")) {
-            opts.server.maxConnections =
-                static_cast<unsigned>(std::atol(v));
+            valid = parseNumber(v, 1u, maxUnsigned,
+                                opts.server.maxConnections);
         } else if (const char *v = valueOf("--max-inflight=")) {
-            opts.server.maxInFlight = static_cast<unsigned>(std::atol(v));
+            valid = parseNumber(v, 1u, maxUnsigned, opts.server.maxInFlight);
         } else if (const char *v = valueOf("--read-deadline-ms=")) {
-            opts.server.readDeadlineMs = std::atoi(v);
+            valid = parseNumber(v, 1, maxInt, opts.server.readDeadlineMs);
         } else if (const char *v = valueOf("--write-deadline-ms=")) {
-            opts.server.writeDeadlineMs = std::atoi(v);
+            valid = parseNumber(v, 1, maxInt, opts.server.writeDeadlineMs);
         } else if (const char *v = valueOf("--ready-fd=")) {
-            opts.readyFd = std::atoi(v);
+            valid = parseNumber(v, 0, maxInt, opts.readyFd);
         } else if (arg == "--quiet") {
             opts.quiet = true;
         } else if (arg == "--help" || arg == "-h") {
@@ -144,6 +151,12 @@ parseOptions(int argc, char **argv, Options &opts)
             return false;
         } else {
             std::fprintf(stderr, "clapr: unknown flag '%s'\n",
+                         arg.c_str());
+            usage(argv[0]);
+            return false;
+        }
+        if (!valid) {
+            std::fprintf(stderr, "clapr: bad value in '%s'\n",
                          arg.c_str());
             usage(argv[0]);
             return false;

@@ -36,7 +36,7 @@
  * (epoch - min epoch), putting all processes on the earliest one's
  * clock. The output is one valid trace-event file; open it in
  * Perfetto and filter by trace_id to follow one request across clapr,
- * clapd, and the shard worker.
+ * clapd, and the shard.
  *
  * Exit codes (scriptable):
  *   0  success

@@ -2,7 +2,7 @@
 # Distributed tracing and live scrape across the replicated service.
 # Two same-seed fleets (clapr in front of two clapd replicas) each
 # take one traced load that crosses obs_tool -> clapr -> clapd ->
-# shard worker. The script then requires:
+# shard. The script then requires:
 #   - the gateway's scrape to carry the fleet watchdog's view;
 #   - byte-identical --stable scrapes of each replica across fleets;
 #   - a merged span file holding a trace that spans >= 3 processes
@@ -35,10 +35,10 @@ run_fleet() {
     local dir=$WORK/$1
     mkdir -p "$dir"
     start "$dir/d1" "$BUILD/examples/clapd" \
-        --endpoint="unix:$dir/d1.sock" --shards=2 --deterministic --quiet
+        --endpoint="unix:$dir/d1.sock" --shards=2 --quiet
     local d1=$!
     start "$dir/d2" "$BUILD/examples/clapd" \
-        --endpoint="unix:$dir/d2.sock" --shards=2 --deterministic --quiet
+        --endpoint="unix:$dir/d2.sock" --shards=2 --quiet
     local d2=$!
     start "$dir/r" "$BUILD/examples/clapr" --endpoint="unix:$dir/r.sock" \
         --replica="unix:$dir/d1.sock" --replica="unix:$dir/d2.sock" \

@@ -62,9 +62,11 @@ struct ClientConfig
 
     std::string clientName = "clap-client";
 
+    /// Budget for one connect + handshake; must be >= 1.
     int connectDeadlineMs = 2000;
 
-    /// Budget for one request's round trip (send + await reply).
+    /// Budget for one request's round trip (send + await reply); must
+    /// be >= 1.
     int requestDeadlineMs = 2000;
 
     /// Attempts per operation (first try + retries/reconnects).
@@ -91,6 +93,10 @@ struct ClientConfig
         if (maxAttempts == 0)
             return makeError(ErrorCode::InvalidConfig,
                              "ClientConfig: maxAttempts must be >= 1");
+        if (connectDeadlineMs < 1 || requestDeadlineMs < 1)
+            return makeError(ErrorCode::InvalidConfig,
+                             "ClientConfig: connectDeadlineMs and "
+                             "requestDeadlineMs must be >= 1");
         if (backoffBaseMs < 0 || backoffMaxMs < backoffBaseMs)
             return makeError(
                 ErrorCode::InvalidConfig,

@@ -80,8 +80,7 @@ ServiceFrameHandler::ServiceFrameHandler(PredictionService &service,
 Admission
 ServiceFrameHandler::admissionDecision() const
 {
-    const auto capacity =
-        static_cast<double>(service_.totalQueueCapacity());
+    const auto capacity = static_cast<double>(config_.maxInFlight);
     const auto depth = static_cast<double>(service_.totalQueueDepth());
     if (depth >= config_.rejectFraction * capacity)
         return Admission::Reject;
@@ -166,7 +165,9 @@ ServiceFrameHandler::handle(const Frame &frame)
             ShardWireStats shard;
             shard.predicts = snap.predicts;
             shard.trains = snap.trains;
-            shard.rejected = snap.rejected;
+            // rejected has no source and goes out as 0: the service
+            // never refuses a request for load (admission does, and
+            // counts it); the slot keeps the StatsOk layout.
             shard.unavailable = snap.unavailable;
             shard.queueDepth = snap.queueDepth;
             shard.quarantined = snap.quarantined ? 1 : 0;

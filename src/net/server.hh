@@ -8,17 +8,18 @@
  * bounded, and corrupt frames drop the connection with a best-effort
  * GoAway instead of ever reaching the predictor.
  *
- * Admission control maps the service's live queue depth — the same
- * signal `src/obs/` exports as serve.queue_depth — onto three
- * decisions:
+ * Admission control maps the service's live load — the callers
+ * running on or waiting for its shards, the same signal `src/obs/`
+ * exports as serve.queue_depth — onto three decisions, as fractions
+ * of the in-flight budget (ServerConfig::maxInFlight):
  *
- *   Accept  depth <  shedFraction   · capacity   serve everything
- *   Shed    depth >= shedFraction   · capacity   predicts fail
+ *   Accept  depth <  shedFraction   · maxInFlight   serve everything
+ *   Shed    depth >= shedFraction   · maxInFlight   predicts fail
  *           Overloaded (a skipped *speculation* is harmless and the
  *           error is retryable); trains still apply, because a
  *           silently dropped train would fork the predictor state
  *           away from every replica's
- *   Reject  depth >= rejectFraction · capacity   everything fails
+ *   Reject  depth >= rejectFraction · maxInFlight   everything fails
  *           Overloaded; the service is protected above all
  *
  * Decisions are counted in the metrics registry (net.admit.*) so a
@@ -27,8 +28,9 @@
  * Threading: one acceptor thread plus one thread per connection
  * (connections are bounded and cheap relative to predictor shards;
  * a per-connection thread keeps the deadline logic synchronous and
- * obviously hang-free). stop() closes the listener, shuts every
- * connection's socket (waking blocked reads), and joins.
+ * obviously hang-free). A connection thread runs each request itself,
+ * under the target shard's lock. stop() closes the listener, shuts
+ * every connection's socket (waking blocked reads), and joins.
  */
 
 #ifndef CLAP_NET_SERVER_HH
@@ -70,13 +72,16 @@ struct ServerConfig
 
     /// A connection mid-frame for longer than this is dropped
     /// (slow-sender protection); idle connections are not affected.
+    /// Must be >= 1.
     int readDeadlineMs = 2000;
 
     /// A response write blocked on the peer's receive window for
     /// longer than this drops the connection (slow-reader protection).
+    /// Must be >= 1.
     int writeDeadlineMs = 2000;
 
-    /// Admission thresholds as fractions of totalQueueCapacity().
+    /// Admission thresholds as fractions of maxInFlight, compared with
+    /// the service's callers (PredictionService::totalQueueDepth()).
     double shedFraction = 0.75;
     double rejectFraction = 0.95;
 
@@ -93,6 +98,10 @@ struct ServerConfig
         if (maxInFlight == 0)
             return makeError(ErrorCode::InvalidConfig,
                              "ServerConfig: maxInFlight must be >= 1");
+        if (readDeadlineMs < 1 || writeDeadlineMs < 1)
+            return makeError(ErrorCode::InvalidConfig,
+                             "ServerConfig: readDeadlineMs and "
+                             "writeDeadlineMs must be >= 1");
         if (!(shedFraction > 0.0) || !(rejectFraction >= shedFraction) ||
             !(rejectFraction <= 1.0)) {
             return makeError(
@@ -191,7 +200,7 @@ class FrameHandler
 
 /**
  * The classic clapd request handler: one local PredictionService
- * behind queue-depth admission control (see the file comment).
+ * behind load-based admission control (see the file comment).
  * @p supervisor may be null; when present its stats ride along in
  * StatsOk frames.
  */

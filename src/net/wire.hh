@@ -101,7 +101,7 @@ enum class FrameType : std::uint16_t
     Predict = 3,         ///< LoadInfo -> prediction request
     PredictOk = 4,       ///< Prediction + pc echo
     Train = 5,           ///< LoadInfo + actual addr + Prediction
-    TrainOk = 6,         ///< train applied (queued)
+    TrainOk = 6,         ///< train applied
     Ping = 7,            ///< liveness probe
     Pong = 8,
     Stats = 9,           ///< fetch service-wide statistics
@@ -260,9 +260,10 @@ struct ShardWireStats
 {
     std::uint64_t predicts = 0;
     std::uint64_t trains = 0;
-    std::uint64_t rejected = 0;
+    std::uint64_t rejected = 0;   ///< always 0 (layout slot; admission
+                                  ///< counts refusals, not the shard)
     std::uint64_t unavailable = 0;
-    std::uint64_t queueDepth = 0;
+    std::uint64_t queueDepth = 0; ///< callers running or waiting
     std::uint8_t quarantined = 0;
     PredictionStats stats; ///< tallied at train resolution
 };

@@ -5,7 +5,7 @@
  * layer. Where the simulator flips bits inline during a run, the
  * chaos engine attacks a live PredictionService from outside —
  * corrupting predictor state under the shard lock, throwing from
- * inside a shard worker's batch, and truncating or corrupting the
+ * inside a shard's next request, and truncating or corrupting the
  * supervisor's on-disk snapshot files — then (optionally) reports the
  * damage so the supervisor's recovery protocol runs.
  *
@@ -22,10 +22,11 @@
  *    built per flip because it holds raw table pointers — a shard
  *    whose predictor was replaced by recovery must be re-attached.
  *  - WorkerKill: PredictionService::injectWorkerFault — the next
- *    batch throws from the worker, exercising the exception-detect
- *    path. Requests in that batch complete unspeculated, so strict
- *    stats equality does not survive a kill (the documented replay
- *    window deviation); recovery completeness does.
+ *    request on the shard throws under the shard lock, exercising the
+ *    exception-detect path. That request completes without touching
+ *    the predictor, so strict stats equality does not survive a kill
+ *    (the documented replay window deviation); recovery completeness
+ *    does.
  *  - SnapshotTruncate / SnapshotCorrupt: damage the shard's snapshot
  *    file on disk (truncate at a random offset / flip one random
  *    byte), exercising the salvage and fresh-restart rungs of the

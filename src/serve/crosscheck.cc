@@ -24,10 +24,6 @@ replayTrace(ClientSession &session, const Trace &trace,
                 collect_latencies ? Clock::now() : Clock::time_point{};
             auto pred = session.predict(rec.pc, rec.immOffset);
             if (!pred) {
-                if (pred.error().code() == ErrorCode::Overloaded) {
-                    ++result.overloaded;
-                    continue; // shed: skip the matching train
-                }
                 if (pred.error().code() ==
                     ErrorCode::ShardUnavailable) {
                     ++result.unavailable;
@@ -50,10 +46,6 @@ replayTrace(ClientSession &session, const Trace &trace,
             auto trained = session.train(rec.pc, rec.immOffset,
                                          rec.effAddr, *pred);
             if (!trained) {
-                if (trained.error().code() == ErrorCode::Overloaded) {
-                    ++result.overloaded;
-                    continue;
-                }
                 if (trained.error().code() ==
                     ErrorCode::ShardUnavailable) {
                     ++result.unavailable;
@@ -96,11 +88,8 @@ shardedReferenceStats(const Trace &trace, const PredictorFactory &factory,
 
 Expected<CrosscheckResult>
 crosscheckTrace(const Trace &trace, const PredictorFactory &factory,
-                ServiceConfig config)
+                const ServiceConfig &config)
 {
-    config.deterministic = true;
-    config.overload = OverloadPolicy::Block;
-
     CrosscheckResult result;
     {
         PredictionService service(config, factory);
@@ -108,7 +97,7 @@ crosscheckTrace(const Trace &trace, const PredictorFactory &factory,
         auto replay = replayTrace(session, trace);
         if (!replay) {
             return std::move(replay.error())
-                .withContext("deterministic service replay");
+                .withContext("single-client service replay");
         }
         service.stop();
         result.service = service.aggregateStats();

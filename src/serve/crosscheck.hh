@@ -1,14 +1,14 @@
 /**
  * @file
  * Trace replay through a service session, and the semantics
- * cross-check that anchors the whole serve/ layer: a deterministic
- * single-threaded service run over a trace must produce aggregate
- * PredictionStats exactly — counter for counter — equal to the
- * sharded PredictorSim reference on the same trace. For one shard the
- * reference is a plain runPredictorSim over the unmodified trace; for
- * N shards it is N independent sims, each over the trace with the
- * other shards' loads removed (branches and calls are kept, so every
- * shard sees the same global history the service sessions maintain).
+ * cross-check that anchors the whole serve/ layer: a single-client
+ * service run over a trace must produce aggregate PredictionStats
+ * exactly — counter for counter — equal to the sharded PredictorSim
+ * reference on the same trace. For one shard the reference is a plain
+ * runPredictorSim over the unmodified trace; for N shards it is N
+ * independent sims, each over the trace with the other shards' loads
+ * removed (branches and calls are kept, so every shard sees the same
+ * global history the service sessions maintain).
  *
  * The check covers the immediate-update model (gapCycles == 0), which
  * is the model the service implements: a client resolves each
@@ -32,12 +32,11 @@ struct ReplayResult
 {
     std::uint64_t loads = 0;      ///< load records encountered
     std::uint64_t predicts = 0;   ///< predict requests completed
-    std::uint64_t trains = 0;     ///< train requests accepted
-    std::uint64_t overloaded = 0; ///< requests shed under Reject
+    std::uint64_t trains = 0;     ///< train requests applied
     std::uint64_t unavailable = 0;///< requests shed while quarantined
 
-    /// predict() round-trip latencies in nanoseconds, when requested
-    /// (enqueue to response; the client-visible service latency).
+    /// predict() latencies in nanoseconds, when requested (call to
+    /// return; the client-visible service latency).
     std::vector<std::uint32_t> latenciesNs;
 };
 
@@ -45,10 +44,10 @@ struct ReplayResult
  * Replay @p trace through @p session in the immediate-update model:
  * every load is predicted and then trained with its actual address;
  * branches and calls update the session history exactly as
- * runPredictorSim maintains its globals. Overloaded and
- * ShardUnavailable requests are counted and shed (their train is
- * skipped) — both are transient backpressure/recovery outcomes a
- * client rides out; any other failure aborts the replay.
+ * runPredictorSim maintains its globals. ShardUnavailable requests
+ * are counted and shed (their train is skipped) — a transient
+ * recovery outcome a client rides out; any other failure aborts the
+ * replay.
  * @p collect_latencies enables per-predict timing.
  */
 Expected<ReplayResult> replayTrace(ClientSession &session,
@@ -58,7 +57,7 @@ Expected<ReplayResult> replayTrace(ClientSession &session,
 /** Both sides of the semantics cross-check. */
 struct CrosscheckResult
 {
-    PredictionStats service;   ///< deterministic service aggregate
+    PredictionStats service;   ///< single-client service aggregate
     PredictionStats reference; ///< sharded PredictorSim aggregate
 
     bool equal() const { return service == reference; }
@@ -75,15 +74,15 @@ PredictionStats shardedReferenceStats(const Trace &trace,
                                       unsigned shards);
 
 /**
- * Run the full cross-check for @p trace: a deterministic service
- * (config forced to deterministic + Block so no request is shed)
- * against shardedReferenceStats with the same factory and shard
- * count. Fails only on service errors; a stats mismatch is reported
- * through CrosscheckResult::equal() so callers can print both sides.
+ * Run the full cross-check for @p trace: one session replaying it
+ * through a service built from @p config, against
+ * shardedReferenceStats with the same factory and shard count. Fails
+ * only on service errors; a stats mismatch is reported through
+ * CrosscheckResult::equal() so callers can print both sides.
  */
 Expected<CrosscheckResult> crosscheckTrace(const Trace &trace,
                                            const PredictorFactory &factory,
-                                           ServiceConfig config);
+                                           const ServiceConfig &config);
 
 } // namespace clap
 

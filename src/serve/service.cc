@@ -1,38 +1,21 @@
 #include "serve/service.hh"
 
-#include <atomic>
+#include <algorithm>
 #include <cassert>
-#include <condition_variable>
 #include <initializer_list>
-#include <optional>
+#include <mutex>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "obs/metrics.hh"
 #include "obs/stage_timer.hh"
-#include "obs/trace_context.hh"
 #include "obs/trace_events.hh"
-#include "serve/queue.hh"
 
 namespace clap
 {
 
 namespace
 {
-
-/**
- * Rendezvous for a synchronous predict(), stack-allocated in
- * predict(). Both fields are guarded by the shard's responseMutex:
- * the shard worker fills them under it and wakes the shard's
- * responseReady only after releasing it, so it never touches a slot
- * its client can already see — and destroy.
- */
-struct ResponseSlot
-{
-    bool done = false;
-    Prediction value;
-};
 
 /// @name Serve-counter section (piggybacked on the state snapshot)
 /// The shard's PredictionStats in the shared codec (sim/metrics.hh)
@@ -78,50 +61,31 @@ constexpr std::uint32_t serveCountersSection = firstCallerSection;
 
 } // namespace
 
-/** One queued request; isTrain selects the active fields. */
+/** One request (and one journal entry); isTrain selects the fields. */
 struct PredictionService::Request
 {
     bool isTrain = false;
     LoadInfo info;
     std::uint64_t actualAddr = 0; ///< train
     Prediction pred;              ///< train: the resolved prediction
-    ResponseSlot *slot = nullptr; ///< predict: completion rendezvous
-
-    /// Submitter's trace context, carried across the queue so the
-    /// shard worker's span nests under the request's distributed
-    /// trace (invalid when the submitter was untraced).
-    obs::TraceContext trace;
-
-    /// stageNowNs() at submit time; the worker's pickup timestamp
-    /// minus this is the request's queue-wait stage.
-    std::uint64_t enqueueNs = 0;
 };
 
 /**
- * One shard: a full predictor instance plus its mailbox, worker, and
- * statistics. The mutex guards the predictor and every counter below
- * it; in threaded mode only the shard's worker takes it on the hot
- * path (snapshots take it briefly), in deterministic mode it
- * serialises the inline drains.
+ * One shard: a full predictor instance plus its statistics. The mutex
+ * guards the predictor and every counter below it; each request holds
+ * it for the whole of its run, snapshots take it briefly.
  */
 struct PredictionService::Shard
 {
-    explicit Shard(std::size_t queue_capacity) : queue(queue_capacity) {}
+    /// Callers running on or waiting for this shard (admission load
+    /// signal; read without the lock).
+    std::atomic<std::size_t> callers{0};
 
-    BoundedQueue<Request> queue;
-    std::atomic<std::uint64_t> rejected{0}; ///< producer-side counter
-
-    /// @name Lifecycle flags (checked lock-free on the submit path)
+    /// @name Lifecycle flags (checked lock-free on the request path)
     /// @{
     std::atomic<bool> quarantined{false};
     std::atomic<std::uint64_t> unavailable{0};
-    std::atomic<bool> killNextBatch{false}; ///< chaos: injected throw
-    /// @}
-
-    /// @name Predict rendezvous (see ResponseSlot)
-    /// @{
-    std::mutex responseMutex;
-    std::condition_variable responseReady;
+    std::atomic<bool> killNextRequest{false}; ///< chaos: injected throw
     /// @}
 
     mutable std::mutex mutex;
@@ -131,6 +95,7 @@ struct PredictionService::Shard
     std::uint64_t trains = 0;
     std::uint64_t batches = 0;
     std::uint64_t audits = 0;
+    std::size_t maxCallers = 0; ///< high-water mark of callers
     bool auditFailed = false;
     Error auditError;
 
@@ -144,8 +109,6 @@ struct PredictionService::Shard
     bool workerFailed = false;
     Error workerError;
     /// @}
-
-    std::thread worker;
 };
 
 PredictionService::PredictionService(const ServiceConfig &config,
@@ -155,113 +118,42 @@ PredictionService::PredictionService(const ServiceConfig &config,
     assert(factory_ != nullptr);
     shards_.reserve(config_.shards);
     for (unsigned s = 0; s < config_.shards; ++s) {
-        auto shard = std::make_unique<Shard>(config_.queueCapacity);
+        auto shard = std::make_unique<Shard>();
         shard->predictor = factory_();
         assert(shard->predictor != nullptr);
         shards_.push_back(std::move(shard));
     }
-    if (!config_.deterministic) {
-        for (auto &shard : shards_) {
-            Shard *raw = shard.get();
-            shard->worker =
-                std::thread([this, raw] { workerLoop(*raw); });
-        }
-    }
 }
 
-PredictionService::~PredictionService()
-{
-    stop();
-}
+PredictionService::~PredictionService() = default;
 
 void
 PredictionService::stop()
 {
-    {
-        std::lock_guard<std::mutex> lock(stopMutex_);
-        if (stopped_)
-            return;
-        stopped_ = true;
-    }
+    if (stopped_.exchange(true))
+        return;
+    // A request reads the flag under its shard lock, so taking every
+    // lock once waits out the requests already running, and each
+    // later one sees the flag.
     for (auto &shard : shards_)
-        shard->queue.close();
-    for (auto &shard : shards_) {
-        if (shard->worker.joinable())
-            shard->worker.join();
-        // Deterministic mode has no workers; drain any leftovers so
-        // stop() upholds the processed-not-dropped guarantee there
-        // too.
-        drainShard(*shard);
-    }
+        std::lock_guard<std::mutex> lock(shard->mutex);
 }
 
 bool
 PredictionService::stopped() const
 {
-    std::lock_guard<std::mutex> lock(stopMutex_);
-    return stopped_;
-}
-
-Expected<void>
-PredictionService::submit(Request request, unsigned shard_index)
-{
-    Shard &shard = *shards_[shard_index];
-    if (shard.quarantined.load(std::memory_order_acquire)) {
-        shard.unavailable.fetch_add(1, std::memory_order_relaxed);
-        static obs::Counter &unavailable =
-            obs::counter("serve.unavailable");
-        unavailable.add();
-        return makeError(ErrorCode::ShardUnavailable,
-                         "shard quarantined pending recovery")
-            .withContext("shard " + std::to_string(shard_index));
-    }
-    const bool block = config_.overload == OverloadPolicy::Block &&
-                       !config_.deterministic;
-    switch (shard.queue.push(std::move(request), block)) {
-      case QueuePush::Ok:
-        break;
-      case QueuePush::Full:
-        shard.rejected.fetch_add(1, std::memory_order_relaxed);
-        {
-            static obs::Counter &rejects =
-                obs::counter("serve.rejects");
-            rejects.add();
-        }
-        return makeError(ErrorCode::Overloaded,
-                         "shard queue full (capacity " +
-                             std::to_string(config_.queueCapacity) + ")")
-            .withContext("shard " + std::to_string(shard_index));
-      case QueuePush::Closed:
-        // Structured Shutdown, not InvalidArgument: a producer that
-        // was blocked in push() when stop() closed the queue must
-        // wake with an error its caller can branch on (terminal, not
-        // retryable — see util/error.hh).
-        return makeError(ErrorCode::Shutdown,
-                         "prediction service is stopped")
-            .withContext("shard " + std::to_string(shard_index));
-    }
-    if (config_.deterministic)
-        drainShard(shard);
-    return ok();
+    return stopped_.load();
 }
 
 Expected<Prediction>
 PredictionService::predict(const LoadInfo &info)
 {
-    ResponseSlot slot;
     Request request;
     request.info = info;
-    request.slot = &slot;
-    request.trace = obs::currentTraceContext();
-    request.enqueueNs = obs::stageNowNs();
-    const unsigned shard_index = shardOf(info.pc);
-    if (auto submitted = submit(std::move(request), shard_index);
-        !submitted)
-        return std::move(submitted.error()).withContext("predict");
-    Shard &shard = *shards_[shard_index];
-    std::unique_lock<std::mutex> lock(shard.responseMutex);
-    shard.responseReady.wait(lock, [&slot] { return slot.done; });
-    return slot.value;
+    Prediction prediction;
+    if (auto served = serve(request, &prediction); !served)
+        return std::move(served.error()).withContext("predict");
+    return prediction;
 }
 
 Expected<void>
@@ -273,38 +165,9 @@ PredictionService::train(const LoadInfo &info, std::uint64_t actual_addr,
     request.info = info;
     request.actualAddr = actual_addr;
     request.pred = pred;
-    request.trace = obs::currentTraceContext();
-    request.enqueueNs = obs::stageNowNs();
-    if (auto submitted = submit(std::move(request), shardOf(info.pc));
-        !submitted)
-        return std::move(submitted.error()).withContext("train");
+    if (auto served = serve(request, nullptr); !served)
+        return std::move(served.error()).withContext("train");
     return ok();
-}
-
-void
-PredictionService::drainShard(Shard &shard)
-{
-    std::vector<Request> batch;
-    batch.reserve(config_.maxBatch);
-    while (shard.queue.popBatch(batch, config_.maxBatch,
-                                /*wait=*/false) != 0) {
-        processBatch(shard, batch);
-        batch.clear();
-    }
-}
-
-void
-PredictionService::workerLoop(Shard &shard)
-{
-    std::vector<Request> batch;
-    batch.reserve(config_.maxBatch);
-    // popBatch returns 0 only once the queue is closed *and* drained,
-    // so a stopping service finishes every accepted request.
-    while (shard.queue.popBatch(batch, config_.maxBatch,
-                                /*wait=*/true) != 0) {
-        processBatch(shard, batch);
-        batch.clear();
-    }
 }
 
 void
@@ -319,14 +182,11 @@ PredictionService::journalRequest(Shard &shard, const Request &request)
         shard.journalOverflowed = true;
         return;
     }
-    Request copy = request;
-    copy.slot = nullptr; // rendezvous is stack-bound to the original
-    shard.journal.push_back(std::move(copy));
+    shard.journal.push_back(request);
 }
 
-void
-PredictionService::processBatch(Shard &shard,
-                                std::vector<Request> &batch)
+Expected<void>
+PredictionService::serve(const Request &request, Prediction *prediction)
 {
     // Registry references resolved once; recording afterwards is a
     // branch plus a relaxed add (see obs/metrics.hh cost model).
@@ -344,136 +204,110 @@ PredictionService::processBatch(Shard &shard,
     static obs::Histogram &computeNs =
         obs::histogram("serve.stage.compute_ns");
 
-    obs::Span span("serve.batch", "serve");
-    std::uint64_t batch_predicts = 0;
-    std::uint64_t batch_trains = 0;
+    const unsigned shard_index = shardOf(request.info.pc);
+    Shard &shard = *shards_[shard_index];
+    if (shard.quarantined.load(std::memory_order_acquire)) {
+        shard.unavailable.fetch_add(1, std::memory_order_relaxed);
+        static obs::Counter &unavailable =
+            obs::counter("serve.unavailable");
+        unavailable.add();
+        return makeError(ErrorCode::ShardUnavailable,
+                         "shard quarantined pending recovery")
+            .withContext("shard " + std::to_string(shard_index));
+    }
 
-    // Predictions computed under the lock, delivered after it: the
-    // rendezvous wakeups need not hold up the shard.
-    std::vector<std::pair<ResponseSlot *, Prediction>> responses;
-    responses.reserve(batch.size());
-    {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        try {
-            if (shard.killNextBatch.exchange(false))
-                throw std::runtime_error("injected worker fault");
-            for (Request &request : batch) {
-                const std::uint64_t startedNs = obs::stageNowNs();
-                if (request.enqueueNs != 0 &&
-                    startedNs >= request.enqueueNs)
-                    queueWaitNs.record(startedNs - request.enqueueNs);
-                // Re-enter the submitter's trace context for the
-                // duration of this request: the worker-side span
-                // nests under the caller's span even across the
-                // queue (and across the wire, when the context rode
-                // in on a v3 frame).
-                std::optional<obs::TraceScope> traceScope;
-                std::optional<obs::Span> requestSpan;
-                if (request.trace.valid()) {
-                    traceScope.emplace(request.trace);
-                    if (request.trace.sampled &&
-                        obs::traceEventsEnabled())
-                        requestSpan.emplace(request.isTrain
-                                                ? "serve.train"
-                                                : "serve.predict",
-                                            "serve");
-                }
-                if (shard.quarantined.load(std::memory_order_acquire)) {
-                    // Quarantine drain: never touch the (suspect)
-                    // predictor. Predicts answer unspeculated; trains
-                    // are journaled so the post-restore replay still
-                    // applies them.
-                    if (request.isTrain) {
-                        journalRequest(shard, request);
-                    } else {
-                        responses.emplace_back(request.slot,
-                                               Prediction{});
-                        request.slot = nullptr;
-                    }
-                    continue;
-                }
+    // One span per request, nested under the caller's trace context
+    // (a connection thread has adopted the frame's context).
+    obs::Span span(request.isTrain ? "serve.train" : "serve.predict",
+                   "serve");
+    const std::size_t depth = shard.callers.fetch_add(1) + 1;
+    const std::uint64_t arrivedNs = obs::stageNowNs();
+    std::unique_lock<std::mutex> lock(shard.mutex);
+    if (stopped_.load()) {
+        lock.unlock();
+        shard.callers.fetch_sub(1);
+        return makeError(ErrorCode::Shutdown,
+                         "prediction service is stopped")
+            .withContext("shard " + std::to_string(shard_index));
+    }
+    const std::uint64_t startedNs = obs::stageNowNs();
+    queueWaitNs.record(startedNs - arrivedNs);
+    shard.maxCallers = std::max(shard.maxCallers, depth);
+
+    try {
+        if (shard.killNextRequest.exchange(false))
+            throw std::runtime_error("injected worker fault");
+        if (shard.quarantined.load(std::memory_order_acquire)) {
+            // Quarantined while this caller waited: never touch the
+            // (suspect) predictor. A predict answers unspeculated; a
+            // train is journaled so the post-restore replay still
+            // applies it.
+            if (request.isTrain)
                 journalRequest(shard, request);
-                if (request.isTrain) {
-                    shard.predictor->update(request.info,
-                                            request.actualAddr,
-                                            request.pred);
-                    tallyPrediction(shard.stats, request.pred,
-                                    request.actualAddr);
-                    ++shard.trains;
-                    ++batch_trains;
-                } else {
-                    responses.emplace_back(
-                        request.slot,
-                        shard.predictor->predict(request.info));
-                    request.slot = nullptr;
-                    ++shard.predicts;
-                    ++batch_predicts;
-                }
-                computeNs.record(obs::stageNowNs() - startedNs);
+        } else {
+            journalRequest(shard, request);
+            if (request.isTrain) {
+                shard.predictor->update(request.info, request.actualAddr,
+                                        request.pred);
+                tallyPrediction(shard.stats, request.pred,
+                                request.actualAddr);
+                ++shard.trains;
+                trains.add();
+            } else {
+                *prediction = shard.predictor->predict(request.info);
+                ++shard.predicts;
+                predicts.add();
             }
-            ++shard.batches;
-            if (config_.auditEveryBatches != 0 &&
-                shard.batches % config_.auditEveryBatches == 0) {
-                // The dirty-set audit: only the sets written since
-                // they last passed. captureShardState() runs the full
-                // audit, for writes that bypassed the table APIs.
-                ++shard.audits;
-                const std::uint64_t auditStartNs = obs::stageNowNs();
-                auto audit = shard.predictor->auditDirty();
-                auditNs.record(obs::stageNowNs() - auditStartNs);
-                audits.add();
-                if (!audit && !shard.auditFailed) {
-                    shard.auditFailed = true;
-                    shard.auditError =
-                        std::move(audit.error())
-                            .withContext("per-batch audit");
-                }
-            }
-        } catch (const std::exception &e) {
-            // A throwing batch may have half-applied a request; treat
-            // the shard as corrupt and quarantine it so the supervisor
-            // restores from the last good snapshot.
-            if (!shard.workerFailed) {
-                shard.workerFailed = true;
-                shard.workerError =
-                    makeError(ErrorCode::CorruptedState, e.what())
-                        .withContext("shard worker batch");
-            }
-            if (!shard.quarantined.exchange(true,
-                                            std::memory_order_acq_rel))
-                ++shard.quarantines;
-            static obs::Counter &failures =
-                obs::counter("serve.worker_failures");
-            failures.add();
+            computeNs.record(obs::stageNowNs() - startedNs);
         }
+        ++shard.batches;
+        if (config_.auditEveryBatches != 0 &&
+            shard.batches % config_.auditEveryBatches == 0) {
+            // The dirty-set audit: only the sets written since they
+            // last passed. captureShardState() runs the full audit,
+            // for writes that bypassed the table APIs.
+            ++shard.audits;
+            const std::uint64_t auditStartNs = obs::stageNowNs();
+            auto audit = shard.predictor->auditDirty();
+            auditNs.record(obs::stageNowNs() - auditStartNs);
+            audits.add();
+            if (!audit && !shard.auditFailed) {
+                shard.auditFailed = true;
+                shard.auditError = std::move(audit.error())
+                                       .withContext("per-batch audit");
+            }
+        }
+    } catch (const std::exception &e) {
+        // A throwing request may have half-applied; treat the shard as
+        // corrupt and quarantine it so the supervisor restores from
+        // the last good snapshot. A predict answers unspeculated.
+        if (prediction != nullptr)
+            *prediction = Prediction{};
+        if (!shard.workerFailed) {
+            shard.workerFailed = true;
+            shard.workerError = makeError(ErrorCode::CorruptedState,
+                                          e.what())
+                                    .withContext("shard request");
+        }
+        if (!shard.quarantined.exchange(true, std::memory_order_acq_rel))
+            ++shard.quarantines;
+        static obs::Counter &failures =
+            obs::counter("serve.worker_failures");
+        failures.add();
     }
-    predicts.add(batch_predicts);
-    trains.add(batch_trains);
+    lock.unlock();
+    shard.callers.fetch_sub(1);
+
     batches.add();
-    batchSize.record(batch.size());
-    queueDepth.record(shard.queue.depth());
-    // Requests the throwing batch never reached: answer them
-    // unspeculated so no client hangs on a failed shard.
-    for (Request &request : batch) {
-        if (!request.isTrain && request.slot != nullptr)
-            responses.emplace_back(request.slot, Prediction{});
-    }
-    if (responses.empty())
-        return;
-    {
-        std::lock_guard<std::mutex> lock(shard.responseMutex);
-        for (auto &[slot, pred] : responses) {
-            slot->value = pred;
-            slot->done = true;
-        }
-    }
-    shard.responseReady.notify_all();
+    batchSize.record(1);
+    queueDepth.record(depth);
+    return ok();
 }
 
 std::size_t
 PredictionService::queueDepth(unsigned shard_index) const
 {
-    return shards_[shard_index]->queue.depth();
+    return shards_[shard_index]->callers.load();
 }
 
 std::size_t
@@ -481,7 +315,7 @@ PredictionService::totalQueueDepth() const
 {
     std::size_t depth = 0;
     for (const auto &shard : shards_)
-        depth += shard->queue.depth();
+        depth += shard->callers.load();
     return depth;
 }
 
@@ -510,6 +344,7 @@ PredictionService::snapshot() const
             snap.trains = shard->trains;
             snap.batches = shard->batches;
             snap.audits = shard->audits;
+            snap.maxQueueDepth = shard->maxCallers;
             snap.auditFailed = shard->auditFailed;
             snap.auditError = shard->auditError;
             snap.captures = shard->captures;
@@ -525,10 +360,7 @@ PredictionService::snapshot() const
             shard->quarantined.load(std::memory_order_relaxed);
         snap.unavailable =
             shard->unavailable.load(std::memory_order_relaxed);
-        snap.rejected =
-            shard->rejected.load(std::memory_order_relaxed);
-        snap.queueDepth = shard->queue.depth();
-        snap.maxQueueDepth = shard->queue.maxDepth();
+        snap.queueDepth = shard->callers.load();
         out.push_back(std::move(snap));
     }
     return out;
@@ -753,7 +585,7 @@ PredictionService::withShardPredictor(
 void
 PredictionService::injectWorkerFault(unsigned shard_index)
 {
-    shards_[shard_index]->killNextBatch.store(true,
+    shards_[shard_index]->killNextRequest.store(true,
                                               std::memory_order_release);
 }
 

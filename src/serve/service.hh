@@ -1,6 +1,6 @@
 /**
  * @file
- * Sharded, batched load-address prediction service. Turns the inline
+ * Sharded load-address prediction service. Turns the inline
  * predictors (core/) into a concurrently queryable component: a
  * PredictionService owns N predictor shards — each a full
  * CAP/stride/hybrid instance behind its own mutex — and routes every
@@ -8,26 +8,26 @@
  * per-static-load state (LB entry, stride state, LT links reached
  * from it) of one static load never crosses shards.
  *
- * Requests enter through per-client ClientSessions and queue into a
- * bounded per-shard MPSC mailbox (serve/queue.hh). Backpressure is a
- * first-class outcome: under OverloadPolicy::Block producers wait for
- * queue space; under OverloadPolicy::Reject a full shard fails the
- * request with a structured ErrorCode::Overloaded. Each shard's
- * worker drains its queue in batches of up to maxBatch requests,
- * paying the mutex/notify cost once per batch instead of once per
- * request, and runs the structural invariant auditor (core/audit.hh)
- * over the shard's predictor after every auditEveryBatches-th batch.
- * That per-batch audit is the dirty-set walk: it checks only the LB
- * and LT sets written since they last passed, a few sets per batch
- * rather than every entry. captureShardState() runs the full audit,
- * so a shard corrupted outside the table APIs (which marks no set) is
- * refused, not persisted.
+ * Requests enter through per-client ClientSessions and run on the
+ * caller's own thread: predict() and train() take the shard's mutex
+ * and apply the request under it, so a train has been applied when it
+ * returns. The service starts no thread. Backpressure is the caller's
+ * own thread waiting for the shard lock; the number of callers running
+ * on or waiting for each shard is the load signal the network
+ * gateway's admission control reads (queueDepth()).
  *
- * Deterministic mode (ServiceConfig::deterministic) runs without
- * worker threads: the submitting thread itself drains the shard
- * inline through the very same batch path. With one client this makes
- * the service a pure function of the request sequence, which is what
- * the cross-check (serve/crosscheck.hh) exploits to prove the service
+ * Every request is one batch: after every auditEveryBatches-th request
+ * on a shard, the structural invariant auditor (core/audit.hh) runs
+ * over the shard's predictor under the same lock. That audit is the
+ * dirty-set walk: it checks only the LB and LT sets written since they
+ * last passed, a few sets per request rather than every entry.
+ * captureShardState() runs the full audit, so a shard corrupted
+ * outside the table APIs (which marks no set) is refused, not
+ * persisted.
+ *
+ * One client makes the service a pure function of its request
+ * sequence, and so do clients that never share a shard. The
+ * cross-check (serve/crosscheck.hh) exploits that to prove the service
  * layer does not change prediction semantics: its aggregate
  * PredictionStats must equal a plain PredictorSim run bit for bit.
  */
@@ -35,10 +35,10 @@
 #ifndef CLAP_SERVE_SERVICE_HH
 #define CLAP_SERVE_SERVICE_HH
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "core/config.hh"
@@ -56,13 +56,6 @@ namespace clap
 using PredictorFactory =
     std::function<std::unique_ptr<AddressPredictor>()>;
 
-/** What a full shard queue does to the submitting client. */
-enum class OverloadPolicy : std::uint8_t
-{
-    Block,  ///< producer waits for queue space
-    Reject, ///< request fails with ErrorCode::Overloaded
-};
-
 /** Service-level knobs; predictor geometry comes from the factory. */
 struct ServiceConfig
 {
@@ -70,25 +63,13 @@ struct ServiceConfig
     /// select one with a mask.
     unsigned shards = 4;
 
-    /// Per-shard request queue capacity (backpressure bound).
-    std::size_t queueCapacity = 1024;
-
-    /// Requests a shard worker drains per queue round-trip.
-    std::size_t maxBatch = 64;
-
-    OverloadPolicy overload = OverloadPolicy::Block;
-
-    /// No worker threads: the submitting thread drains the target
-    /// shard inline after every request. Single-client only; exists
-    /// for the semantics cross-check and for debugging.
-    bool deterministic = false;
-
     /// Run the dirty-set audit (AddressPredictor::auditDirty) on a
-    /// shard's predictor after every N-th processed batch (0
-    /// disables); it checks the table sets written since they last
-    /// passed. Audit failures are recorded per shard and surfaced via
-    /// PredictionService::health(). The full audit runs before every
-    /// captureShardState() regardless of this setting.
+    /// shard's predictor after every N-th request it runs (a batch is
+    /// one request; 0 disables); it checks the table sets written
+    /// since they last passed. Audit failures are recorded per shard
+    /// and surfaced via PredictionService::health(). The full audit
+    /// runs before every captureShardState() regardless of this
+    /// setting.
     unsigned auditEveryBatches = 1;
 
     /// Bounded per-shard journal of requests applied since the last
@@ -108,17 +89,6 @@ struct ServiceConfig
                 "ServiceConfig",
                 "shards must be a power of two in 1..4096, got " +
                     std::to_string(shards));
-        }
-        if (queueCapacity == 0) {
-            return detail::configError(
-                "ServiceConfig", "queueCapacity must be >= 1");
-        }
-        if (maxBatch == 0 || maxBatch > queueCapacity) {
-            return detail::configError(
-                "ServiceConfig",
-                "maxBatch must be within 1..queueCapacity (maxBatch=" +
-                    std::to_string(maxBatch) + ", queueCapacity=" +
-                    std::to_string(queueCapacity) + ")");
         }
         return ok();
     }
@@ -142,11 +112,10 @@ struct ShardSnapshot
     PredictionStats stats;        ///< tallied at train resolution
     std::uint64_t predicts = 0;   ///< predict requests processed
     std::uint64_t trains = 0;     ///< train requests processed
-    std::uint64_t batches = 0;    ///< queue drain rounds
+    std::uint64_t batches = 0;    ///< requests run (one per batch)
     std::uint64_t audits = 0;     ///< per-batch auditor runs
-    std::uint64_t rejected = 0;   ///< requests refused as Overloaded
-    std::size_t queueDepth = 0;   ///< current mailbox depth
-    std::size_t maxQueueDepth = 0;///< mailbox high-water mark
+    std::size_t queueDepth = 0;   ///< callers running or waiting now
+    std::size_t maxQueueDepth = 0;///< high-water mark of queueDepth
     bool auditFailed = false;
     Error auditError;             ///< valid when auditFailed
 
@@ -159,7 +128,7 @@ struct ShardSnapshot
     std::uint64_t quarantines = 0;///< quarantine episodes entered
     std::size_t journalDepth = 0; ///< requests journaled since capture
     bool journalOverflowed = false;
-    bool workerFailed = false;    ///< worker batch threw / injected kill
+    bool workerFailed = false;    ///< a request threw / injected kill
     Error workerError;            ///< valid when workerFailed
     /// @}
 
@@ -176,9 +145,8 @@ class PredictionService
   public:
     /**
      * Build a service of config.shards predictors (one factory call
-     * per shard) and start the shard workers (none in deterministic
-     * mode). Throws std::invalid_argument on an invalid config, like
-     * the predictor constructors (core/config.hh validated()).
+     * per shard). Throws std::invalid_argument on an invalid config,
+     * like the predictor constructors (core/config.hh validated()).
      */
     PredictionService(const ServiceConfig &config,
                       PredictorFactory factory);
@@ -199,28 +167,24 @@ class PredictionService
     ClientSession connect();
 
     /**
-     * Form a prediction for @p info, synchronously: enqueue on the
-     * PC's shard and wait for the shard worker's response. Fails with
-     * Overloaded (Reject policy, full queue) or Shutdown (service
-     * stopped — including producers that were blocked in push() when
-     * stop() closed the queue).
+     * Form a prediction for @p info on the calling thread, under the
+     * PC's shard lock. Fails with ShardUnavailable (shard quarantined)
+     * or Shutdown (service stopped).
      */
     Expected<Prediction> predict(const LoadInfo &info);
 
     /**
-     * Resolve a prior prediction with the load's actual address.
-     * Fire-and-forget: returns once the request is queued (the shard
-     * applies it in FIFO order, hence before any later predict of the
-     * same PC from this client). Same failure modes as predict().
+     * Resolve a prior prediction with the load's actual address, on
+     * the calling thread under the PC's shard lock: the update has
+     * been applied when this returns. Same failure modes as predict().
      */
     Expected<void> train(const LoadInfo &info,
                          std::uint64_t actual_addr,
                          const Prediction &pred);
 
     /**
-     * Stop accepting requests, drain every shard queue, and join the
-     * workers. Idempotent; also run by the destructor. Outstanding
-     * requests are processed, not dropped, so no client hangs.
+     * Refuse every later request with Shutdown, after waiting out the
+     * requests already running on a shard. Idempotent.
      */
     void stop();
 
@@ -229,24 +193,16 @@ class PredictionService
     /** Sum of the per-shard statistics (train-resolved tallies). */
     PredictionStats aggregateStats() const;
 
-    /** Current depth of one shard's mailbox (admission control). */
+    /** Callers running on or waiting for one shard right now. */
     std::size_t queueDepth(unsigned shard_index) const;
 
     /**
-     * Sum of all shard mailbox depths — the load signal the network
-     * gateway's admission control maps to Accept/Shed/Reject. Cheap
-     * (one mutex-guarded size read per shard, no predictor locks), so
-     * it can run per-request.
+     * queueDepth() summed over the shards — the load signal the
+     * network gateway's admission control maps to Accept/Shed/Reject.
+     * One atomic load per shard and no lock, so it can run
+     * per-request.
      */
     std::size_t totalQueueDepth() const;
-
-    /** Sum of per-shard queue capacities (admission denominator). */
-    std::size_t
-    totalQueueCapacity() const
-    {
-        return static_cast<std::size_t>(config_.shards) *
-               config_.queueCapacity;
-    }
 
     /** Per-shard monitoring snapshot, in shard order. */
     std::vector<ShardSnapshot> snapshot() const;
@@ -279,7 +235,7 @@ class PredictionService
      * (provided the journal never overflowed). The journal is kept,
      * not cleared: its epoch stays the capture the bytes came from,
      * so restoring the same bytes again later remains exact. Clears
-     * the shard's audit/worker failure flags on success; does NOT
+     * the shard's audit/request failure flags on success; does NOT
      * lift quarantine — rejoinShard() does. With @p salvage, intact
      * sections of a damaged snapshot restore and the rest cold-start.
      */
@@ -290,8 +246,9 @@ class PredictionService
     /**
      * Quarantine shard @p shard_index: new requests fail with a
      * structured ShardUnavailable error (other shards keep serving);
-     * already-queued predicts complete unspeculated and queued trains
-     * are journaled for post-restore replay instead of being applied.
+     * requests already waiting for the shard lock complete without
+     * touching the predictor — predicts unspeculated, trains journaled
+     * for post-restore replay instead of being applied.
      */
     void quarantineShard(unsigned shard_index);
 
@@ -302,11 +259,11 @@ class PredictionService
 
     /**
      * Record a failure detected outside the per-batch audit (injected
-     * fault, dead worker) and quarantine the shard.
+     * fault, a request that threw) and quarantine the shard.
      */
     void failShard(unsigned shard_index, Error error);
 
-    /** First recorded audit/worker failure of one shard. */
+    /** First recorded audit/request failure of one shard. */
     Expected<void> shardHealth(unsigned shard_index) const;
 
     /**
@@ -326,31 +283,28 @@ class PredictionService
         const std::function<void(AddressPredictor &)> &fn);
 
     /**
-     * Chaos hook: the next batch the shard processes throws from
-     * inside the worker, exercising the worker-failure detection and
-     * recovery path. Requests in that batch complete unspeculated.
+     * Chaos hook: the next request on the shard throws from under the
+     * shard lock, exercising the failure detection and recovery path.
+     * That request completes without touching the predictor: a
+     * predict answers unspeculated, a train is dropped.
      */
     void injectWorkerFault(unsigned shard_index);
 
     /// @}
 
   private:
-    friend class ClientSession;
-
     struct Shard;
     struct Request;
 
-    Expected<void> submit(Request request, unsigned shard_index);
-    void drainShard(Shard &shard);
-    void processBatch(Shard &shard, std::vector<Request> &batch);
-    void workerLoop(Shard &shard);
+    /** Run @p request on the calling thread; a predict's result goes
+     *  to @p prediction. */
+    Expected<void> serve(const Request &request, Prediction *prediction);
     void journalRequest(Shard &shard, const Request &request);
 
     ServiceConfig config_;
     PredictorFactory factory_; ///< kept for resetShard()
     std::vector<std::unique_ptr<Shard>> shards_;
-    bool stopped_ = false;
-    mutable std::mutex stopMutex_;
+    std::atomic<bool> stopped_{false};
 };
 
 /**

@@ -3,8 +3,8 @@
  * Shard supervisor: the crash-recovery layer over PredictionService.
  * It periodically snapshots every shard's predictor state to disk
  * (core/state_io via util/atomic_file — durable, versioned, CRC
- * framed), watches shard health (per-batch audit failures, worker
- * exceptions, failures reported by fault injection), and runs the
+ * framed), watches shard health (per-batch audit failures, requests
+ * that threw, failures reported by fault injection), and runs the
  * recovery protocol when a shard goes bad:
  *
  *   quarantine → restore last good snapshot (strict, then salvage)
@@ -25,10 +25,10 @@
  * (serve/chaos.hh) verifies separately.
  *
  * The supervisor runs either in background mode (its own thread,
- * snapshotting and health-checking every snapshotIntervalMs — "off
- * the batch-worker thread") or manually via snapshotAll() /
- * checkAndRecover() ticks, which is what deterministic-mode tests and
- * the chaos benchmark drive.
+ * snapshotting and health-checking every snapshotIntervalMs, off the
+ * clients' request path) or manually via snapshotAll() /
+ * checkAndRecover() ticks, which is what single-client tests and the
+ * chaos benchmark drive.
  */
 
 #ifndef CLAP_SERVE_SUPERVISOR_HH

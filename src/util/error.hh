@@ -41,9 +41,9 @@ enum class ErrorCode : std::uint8_t
     InvalidArgument,///< caller-supplied argument out of range
     Timeout,        ///< job exceeded its wall-clock budget (watchdog)
     CorruptedState, ///< structural invariant violated (audit failure)
-    Overloaded,     ///< bounded queue full under the Reject policy
+    Overloaded,     ///< gateway admission or in-flight budget refused
     ShardUnavailable,///< shard quarantined while recovery is in flight
-    Shutdown,       ///< service/queue closed while the request waited
+    Shutdown,       ///< service stopped before the request ran
     ProtocolError,  ///< wire frame malformed, unexpected, or corrupt
     ConnectionLost, ///< peer closed or reset the connection mid-request
     DeadlineExceeded,///< per-request network deadline expired
@@ -92,7 +92,7 @@ errorCodeFromName(const std::string &name)
 /**
  * True for failure kinds worth retrying: transient conditions that a
  * fresh attempt can clear (e.g. predictor state corrupted by an
- * injected fault, a service shard queue momentarily full, a shard
+ * injected fault, a gateway momentarily over its load budget, a shard
  * quarantined mid-recovery, or a network request that lost its
  * connection or deadline). Timeouts and input/config errors are
  * deterministic and retrying them only burns the sweep's wall-clock

@@ -54,7 +54,7 @@ testHybridFactory()
     return [] { return std::make_unique<HybridPredictor>(HybridConfig{}); };
 }
 
-/** Service + gateway with deterministic shards, torn down in order. */
+/** Service + gateway, torn down in order. */
 struct TestGateway
 {
     explicit TestGateway(const std::string &endpoint, unsigned shards = 2)
@@ -76,7 +76,6 @@ struct TestGateway
     {
         ServiceConfig config;
         config.shards = shards;
-        config.deterministic = true;
         return config;
     }
 
@@ -198,6 +197,70 @@ TEST(NetEndpoint, UnixPathLengthStopsAtSunPathCapacity)
     // The refusal names the size so the operator sees the limit.
     EXPECT_NE(too_long.error().str().find(std::to_string(capacity)),
               std::string::npos);
+}
+
+// --- Config validation --------------------------------------------
+
+TEST(NetConfig, ServerConfigRequiresDeadlinesOfAtLeastOneMs)
+{
+    EXPECT_TRUE(ServerConfig{}.validate());
+    for (const int bad : {0, -1}) {
+        ServerConfig read;
+        read.readDeadlineMs = bad;
+        const auto refused = read.validate();
+        ASSERT_FALSE(refused) << bad;
+        EXPECT_EQ(refused.error().code(), ErrorCode::InvalidConfig);
+
+        ServerConfig write;
+        write.writeDeadlineMs = bad;
+        EXPECT_FALSE(write.validate()) << bad;
+    }
+    ServerConfig shortest;
+    shortest.readDeadlineMs = 1;
+    shortest.writeDeadlineMs = 1;
+    EXPECT_TRUE(shortest.validate());
+}
+
+TEST(NetConfig, ServerWithANeverExpiringWriteDeadlineDoesNotStart)
+{
+    // A negative budget would let a peer that stops reading hold its
+    // connection thread forever.
+    PredictionService service(ServiceConfig{}, testHybridFactory());
+    ServerConfig config;
+    config.endpoint = udsEndpoint("no_deadline");
+    config.writeDeadlineMs = -1;
+    NetServer server(service, nullptr, config);
+    const auto started = server.start();
+    ASSERT_FALSE(started);
+    EXPECT_EQ(started.error().code(), ErrorCode::InvalidConfig);
+}
+
+TEST(NetConfig, ClientConfigRequiresDeadlinesOfAtLeastOneMs)
+{
+    ClientConfig base;
+    base.endpoint = udsEndpoint("client_config");
+    EXPECT_TRUE(base.validate());
+    for (const int bad : {0, -1}) {
+        ClientConfig connect = base;
+        connect.connectDeadlineMs = bad;
+        EXPECT_FALSE(connect.validate()) << bad;
+
+        ClientConfig request = base;
+        request.requestDeadlineMs = bad;
+        const auto refused = request.validate();
+        ASSERT_FALSE(refused) << bad;
+        EXPECT_EQ(refused.error().code(), ErrorCode::InvalidConfig);
+    }
+
+    // The client refuses before it ever dials.
+    ClientConfig never = base;
+    never.requestDeadlineMs = -1;
+    never.maxAttempts = 1;
+    NetClient client(never);
+    const auto pinged = client.ping();
+    ASSERT_FALSE(pinged);
+    EXPECT_EQ(pinged.error().code(), ErrorCode::InvalidConfig);
+    EXPECT_EQ(client.counters().connects, 0u);
 }
 
 // --- Socket streams -----------------------------------------------
@@ -510,7 +573,8 @@ TEST(NetClientRetry, TrainIsNeverRetriedAfterTransportLoss)
 // --- Admission control --------------------------------------------
 
 /// Predictor stub whose predict() blocks until released (same idiom
-/// as test_serve.cc): wedges a shard worker so queue depth builds.
+/// as test_serve.cc): wedges a shard, holding its lock, so callers
+/// stack up behind it.
 class BlockingPredictor : public AddressPredictor
 {
   public:
@@ -561,9 +625,6 @@ TEST(NetAdmission, ShedFailsPredictsButStillTrains)
 
     ServiceConfig service_config;
     service_config.shards = 1;
-    service_config.queueCapacity = 8;
-    service_config.maxBatch = 1;
-    service_config.overload = OverloadPolicy::Reject;
     service_config.auditEveryBatches = 0;
     PredictionService service(
         service_config,
@@ -594,15 +655,18 @@ TEST(NetAdmission, ShedFailsPredictsButStillTrains)
     const std::string endpoint = udsEndpoint("admission");
     ServerConfig server_config;
     server_config.endpoint = endpoint;
-    // Queue capacity is 8: shed once 3 requests wait, reject at 6.
-    server_config.shedFraction = 0.374;
+    // In-flight budget is 8: shed once 4 callers run on or wait for
+    // the shard (the wedged predict and three behind it), reject at 6.
+    server_config.maxInFlight = 8;
+    server_config.shedFraction = 0.5;
     server_config.rejectFraction = 0.75;
     NetServer server(service, nullptr, server_config);
     ASSERT_TRUE(server.start());
     EXPECT_EQ(server.admissionDecision(), Admission::Accept);
 
-    // Wedge the only worker through the wire, then stack three more
-    // predicts behind it so the queue depth crosses the shed line.
+    // Wedge the shard through the wire, then stack three more predicts
+    // behind it, waiting for its lock, so the load crosses the shed
+    // line.
     auto asyncPredict = [&endpoint]() {
         ClientConfig config;
         config.endpoint = endpoint;
@@ -628,6 +692,7 @@ TEST(NetAdmission, ShedFailsPredictsButStillTrains)
     // A shed gateway fails predicts with a retryable Overloaded...
     ClientConfig probe_config;
     probe_config.endpoint = endpoint;
+    probe_config.requestDeadlineMs = 20000;
     probe_config.maxAttempts = 1;
     NetClient probe(probe_config);
     auto shed = probe.predict(probe.makeInfo(0x2000, 0));
@@ -637,14 +702,28 @@ TEST(NetAdmission, ShedFailsPredictsButStillTrains)
     EXPECT_EQ(probe.counters().errorReplies, 1u);
 
     // ...but still applies trains: dropping one silently would fork
-    // this replica's predictor state away from its peers'.
-    Prediction dummy;
-    EXPECT_TRUE(probe.train(probe.makeInfo(0x2000, 0), 0x3000, dummy));
+    // this replica's predictor state away from its peers'. The train
+    // runs behind the wedge, so it is sent from its own thread and
+    // completes once the shard is released.
+    Expected<void> trained = ok();
+    std::thread trainer([&probe, &trained] {
+        Prediction dummy;
+        trained = probe.train(probe.makeInfo(0x2000, 0), 0x3000, dummy);
+    });
+    const auto queued = std::chrono::steady_clock::now() +
+                        std::chrono::seconds(10);
+    while (service.queueDepth(0) < 5 &&
+           std::chrono::steady_clock::now() < queued)
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    EXPECT_EQ(service.queueDepth(0), 5u); // the train waits too
 
     blocking->release();
+    trainer.join();
+    EXPECT_TRUE(trained) << trained.error().str();
     for (auto &waiter : waiters)
         waiter.join();
     EXPECT_GE(server.counters().admitShed, 1u);
+    EXPECT_EQ(service.snapshot()[0].trains, 1u);
 
     server.stop();
     service.stop();

@@ -264,7 +264,7 @@ TEST(ReplicaChaos, KillPlanIsSeedPureAndDrawnUpFront)
 
 // --- Gateway over in-process replica services ---------------------
 
-/** One in-process replica: a deterministic service + NetServer. */
+/** One in-process replica: a service + NetServer. */
 struct InProcReplica
 {
     explicit InProcReplica(const std::string &endpoint)
@@ -289,8 +289,6 @@ struct InProcReplica
     {
         ServiceConfig config;
         config.shards = 2;
-        config.deterministic = true;
-        config.overload = OverloadPolicy::Block;
         return config;
     }
 

@@ -13,7 +13,6 @@
 #include "core/hybrid_predictor.hh"
 #include "core/stride_predictor.hh"
 #include "serve/crosscheck.hh"
-#include "serve/queue.hh"
 #include "serve/service.hh"
 #include "sim/predictor_sim.hh"
 #include "workloads/composer.hh"
@@ -58,22 +57,6 @@ TEST(ServiceConfig, RejectsBadShardCounts)
     EXPECT_TRUE(config.validate());
 }
 
-TEST(ServiceConfig, RejectsBadQueueGeometry)
-{
-    ServiceConfig config;
-    config.queueCapacity = 0;
-    EXPECT_FALSE(config.validate());
-
-    config = ServiceConfig{};
-    config.maxBatch = 0;
-    EXPECT_FALSE(config.validate());
-
-    config = ServiceConfig{};
-    config.queueCapacity = 8;
-    config.maxBatch = 9;
-    EXPECT_FALSE(config.validate());
-}
-
 TEST(ServiceConfig, ConstructorThrowsOnInvalidConfig)
 {
     ServiceConfig config;
@@ -112,67 +95,7 @@ TEST(ShardRouting, SingleShardAlwaysZero)
         EXPECT_EQ(shardOfPc(pc * 0x9e3779b9ull, 1), 0u);
 }
 
-// --- Bounded queue -------------------------------------------------
-
-TEST(BoundedQueue, NonBlockingPushReportsFull)
-{
-    BoundedQueue<int> queue(2);
-    EXPECT_EQ(queue.push(1, false), QueuePush::Ok);
-    EXPECT_EQ(queue.push(2, false), QueuePush::Ok);
-    EXPECT_EQ(queue.push(3, false), QueuePush::Full);
-    EXPECT_EQ(queue.depth(), 2u);
-    EXPECT_EQ(queue.maxDepth(), 2u);
-}
-
-TEST(BoundedQueue, PopBatchRespectsMaxAndOrder)
-{
-    BoundedQueue<int> queue(8);
-    for (int i = 0; i < 5; ++i)
-        EXPECT_EQ(queue.push(i, false), QueuePush::Ok);
-    std::vector<int> out;
-    EXPECT_EQ(queue.popBatch(out, 3, false), 3u);
-    EXPECT_EQ(out, (std::vector<int>{0, 1, 2}));
-    EXPECT_EQ(queue.popBatch(out, 8, false), 2u);
-    EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3, 4}));
-    EXPECT_EQ(queue.popBatch(out, 8, false), 0u);
-}
-
-TEST(BoundedQueue, CloseRejectsPushesButDrains)
-{
-    BoundedQueue<int> queue(4);
-    EXPECT_EQ(queue.push(7, false), QueuePush::Ok);
-    queue.close();
-    EXPECT_EQ(queue.push(8, false), QueuePush::Closed);
-    EXPECT_EQ(queue.push(8, true), QueuePush::Closed);
-    std::vector<int> out;
-    EXPECT_EQ(queue.popBatch(out, 4, true), 1u);
-    EXPECT_EQ(out.front(), 7);
-    // Closed and drained: a waiting pop returns 0 instead of hanging.
-    out.clear();
-    EXPECT_EQ(queue.popBatch(out, 4, true), 0u);
-}
-
-TEST(BoundedQueue, BlockingPushWaitsForSpace)
-{
-    BoundedQueue<int> queue(1);
-    EXPECT_EQ(queue.push(1, false), QueuePush::Ok);
-
-    std::atomic<bool> pushed{false};
-    std::thread producer([&] {
-        EXPECT_EQ(queue.push(2, true), QueuePush::Ok);
-        pushed.store(true);
-    });
-    // The producer must be blocked until the consumer makes space.
-    std::vector<int> out;
-    EXPECT_EQ(queue.popBatch(out, 1, true), 1u);
-    producer.join();
-    EXPECT_TRUE(pushed.load());
-    out.clear();
-    EXPECT_EQ(queue.popBatch(out, 1, true), 1u);
-    EXPECT_EQ(out.front(), 2);
-}
-
-// --- Deterministic mode & semantics cross-check --------------------
+// --- Single-client determinism & semantics cross-check -------------
 
 TEST(ServeCrosscheck, OneShardMatchesPredictorSimExactly)
 {
@@ -232,7 +155,6 @@ TEST(ServeDeterministic, StatsTalliedOnTrainOnly)
 {
     ServiceConfig config;
     config.shards = 1;
-    config.deterministic = true;
     PredictionService service(config, testHybridFactory());
     ClientSession session = service.connect();
 
@@ -247,7 +169,6 @@ TEST(ServeDeterministic, AuditRunsPerBatch)
 {
     ServiceConfig config;
     config.shards = 1;
-    config.deterministic = true;
     config.auditEveryBatches = 1;
     PredictionService service(config, testHybridFactory());
     ClientSession session = service.connect();
@@ -259,8 +180,8 @@ TEST(ServeDeterministic, AuditRunsPerBatch)
     }
     const auto snaps = service.snapshot();
     ASSERT_EQ(snaps.size(), 1u);
-    // Inline drains process one request per batch, and the auditor
-    // runs after every batch.
+    // Every request is one batch, and the auditor runs after every
+    // batch.
     EXPECT_EQ(snaps[0].batches, 16u);
     EXPECT_EQ(snaps[0].audits, 16u);
     EXPECT_EQ(snaps[0].predicts, 8u);
@@ -299,7 +220,6 @@ TEST(ServeDeterministic, PerBatchAuditFindsCorruptionInUntouchedSet)
 {
     ServiceConfig config;
     config.shards = 1;
-    config.deterministic = true;
     config.auditEveryBatches = 1;
     PredictionService service(config, twoWayLtFactory());
     ClientSession session = service.connect();
@@ -326,7 +246,6 @@ TEST(ServeDeterministic, CaptureRefusesStateTheFullAuditRejects)
 {
     ServiceConfig config;
     config.shards = 1;
-    config.deterministic = true;
     config.auditEveryBatches = 0; // nothing audits between batches
     PredictionService service(config, twoWayLtFactory());
     ClientSession session = service.connect();
@@ -354,7 +273,6 @@ TEST(ServeSession, HistoryTracksBranchesAndCalls)
 {
     ServiceConfig config;
     config.shards = 1;
-    config.deterministic = true;
     PredictionService service(config, testHybridFactory());
     ClientSession session = service.connect();
 
@@ -378,8 +296,6 @@ TEST(ServeThreaded, ConcurrentClientsAccountForEveryRequest)
 
     ServiceConfig config;
     config.shards = 4;
-    config.queueCapacity = 256;
-    config.maxBatch = 32;
     PredictionService service(config, testHybridFactory());
 
     std::vector<Expected<ReplayResult>> results;
@@ -402,7 +318,6 @@ TEST(ServeThreaded, ConcurrentClientsAccountForEveryRequest)
     std::uint64_t submitted_loads = 0;
     for (const auto &result : results) {
         ASSERT_TRUE(result) << result.error().str();
-        EXPECT_EQ(result->overloaded, 0u); // Block policy never sheds
         submitted_loads += result->loads;
     }
 
@@ -418,7 +333,7 @@ TEST(ServeThreaded, ConcurrentClientsAccountForEveryRequest)
         trains += snap.trains;
         batches += snap.batches;
         audits += snap.audits;
-        EXPECT_EQ(snap.queueDepth, 0u); // stop() drains
+        EXPECT_EQ(snap.queueDepth, 0u); // every caller has returned
         EXPECT_FALSE(snap.auditFailed);
     }
     EXPECT_EQ(predicts, submitted_loads);
@@ -448,7 +363,7 @@ TEST(ServeThreaded, RequestsAfterStopFailStructured)
 }
 
 /// Predictor stub whose predict() blocks until released: lets a test
-/// wedge a shard worker and fill the queue behind it.
+/// wedge a shard, holding its lock, and stack callers behind it.
 class BlockingPredictor : public AddressPredictor
 {
   public:
@@ -479,7 +394,7 @@ class BlockingPredictor : public AddressPredictor
         ready_.notify_all();
     }
 
-    /** Block until a worker is wedged inside predict(). */
+    /** Block until a caller is wedged inside predict(). */
     void
     awaitEntered()
     {
@@ -494,45 +409,46 @@ class BlockingPredictor : public AddressPredictor
     bool released_ = false;
 };
 
-TEST(ServeThreaded, RejectPolicyReturnsOverloadedWhenQueueFull)
+/** The service owns its predictors; hand it a forwarding shim so the
+ *  test keeps a handle on @p blocking for release(). */
+PredictorFactory
+blockingFactory(std::shared_ptr<BlockingPredictor> blocking)
+{
+    return [blocking]() -> std::unique_ptr<AddressPredictor> {
+        struct Shim : AddressPredictor
+        {
+            explicit Shim(std::shared_ptr<BlockingPredictor> inner)
+                : inner(std::move(inner))
+            {
+            }
+            Prediction
+            predict(const LoadInfo &info) override
+            {
+                return inner->predict(info);
+            }
+            void
+            update(const LoadInfo &info, std::uint64_t addr,
+                   const Prediction &pred) override
+            {
+                inner->update(info, addr, pred);
+            }
+            std::string name() const override { return inner->name(); }
+            std::shared_ptr<BlockingPredictor> inner;
+        };
+        return std::make_unique<Shim>(blocking);
+    };
+}
+
+TEST(ServeThreaded, TrainReturnsOnlyOnceApplied)
 {
     auto blocking = std::make_shared<BlockingPredictor>();
-
     ServiceConfig config;
     config.shards = 1;
-    config.queueCapacity = 2;
-    config.maxBatch = 1;
-    config.overload = OverloadPolicy::Reject;
     config.auditEveryBatches = 0;
-    PredictionService service(
-        config, [blocking]() -> std::unique_ptr<AddressPredictor> {
-            // The service owns its predictors; hand it a forwarding
-            // shim so the test keeps a handle for release().
-            struct Shim : AddressPredictor
-            {
-                explicit Shim(std::shared_ptr<BlockingPredictor> inner)
-                    : inner(std::move(inner))
-                {
-                }
-                Prediction
-                predict(const LoadInfo &info) override
-                {
-                    return inner->predict(info);
-                }
-                void
-                update(const LoadInfo &info, std::uint64_t addr,
-                       const Prediction &pred) override
-                {
-                    inner->update(info, addr, pred);
-                }
-                std::string name() const override { return inner->name(); }
-                std::shared_ptr<BlockingPredictor> inner;
-            };
-            return std::make_unique<Shim>(blocking);
-        });
+    PredictionService service(config, blockingFactory(blocking));
 
-    // Wedge the worker: it pops this predict and blocks inside the
-    // stub, leaving the queue empty.
+    // Wedge the shard: this predict holds the shard lock inside the
+    // stub until release().
     std::thread wedged([&service] {
         LoadInfo info;
         info.pc = 0x1000;
@@ -540,147 +456,125 @@ TEST(ServeThreaded, RejectPolicyReturnsOverloadedWhenQueueFull)
     });
     blocking->awaitEntered();
 
-    // Fill the (now idle) queue with fire-and-forget trains, then
-    // overflow it: the Reject policy must fail fast and structured.
-    LoadInfo info;
-    info.pc = 0x1000;
-    Prediction dummy;
-    Expected<void> overflow = ok();
-    bool saw_overload = false;
-    for (int i = 0; i < 64 && !saw_overload; ++i) {
-        overflow = service.train(info, 0x2000, dummy);
-        if (!overflow) {
-            EXPECT_EQ(overflow.error().code(), ErrorCode::Overloaded);
-            saw_overload = true;
-        }
-    }
-    EXPECT_TRUE(saw_overload);
-
-    // snapshot() needs the shard mutex, which the wedged worker holds
-    // inside processBatch — release it before inspecting counters.
-    blocking->release();
-    wedged.join();
-    service.stop();
-
-    const auto snaps = service.snapshot();
-    ASSERT_EQ(snaps.size(), 1u);
-    EXPECT_GE(snaps[0].rejected, 1u);
-}
-
-// --- close()/shutdown vs blocked producers ------------------------
-
-TEST(BoundedQueue, CloseWakesBlockedProducers)
-{
-    BoundedQueue<int> queue(1);
-    ASSERT_EQ(queue.push(0, false), QueuePush::Ok);
-
-    // Three producers block in push(block=true) on the full queue.
-    std::atomic<int> woken{0};
-    std::vector<std::thread> producers;
-    for (int i = 0; i < 3; ++i) {
-        producers.emplace_back([&queue, &woken, i] {
-            EXPECT_EQ(queue.push(i + 1, true), QueuePush::Closed);
-            woken.fetch_add(1);
-        });
-    }
-
-    // Give the producers a moment to reach the wait; close() must
-    // then wake every one of them with Closed — not leave them
-    // sleeping on a condition that will never signal again.
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    queue.close();
-    for (auto &producer : producers)
-        producer.join();
-    EXPECT_EQ(woken.load(), 3);
-
-    // The item enqueued before close still drains.
-    std::vector<int> out;
-    EXPECT_EQ(queue.popBatch(out, 4, false), 1u);
-    EXPECT_EQ(out.front(), 0);
-}
-
-TEST(ServeThreaded, StopWakesProducersBlockedInPush)
-{
-    auto blocking = std::make_shared<BlockingPredictor>();
-
-    ServiceConfig config;
-    config.shards = 1;
-    config.queueCapacity = 2;
-    config.maxBatch = 1;
-    config.overload = OverloadPolicy::Block;
-    config.auditEveryBatches = 0;
-    PredictionService service(
-        config, [blocking]() -> std::unique_ptr<AddressPredictor> {
-            struct Shim : AddressPredictor
-            {
-                explicit Shim(std::shared_ptr<BlockingPredictor> inner)
-                    : inner(std::move(inner))
-                {
-                }
-                Prediction
-                predict(const LoadInfo &info) override
-                {
-                    return inner->predict(info);
-                }
-                void
-                update(const LoadInfo &info, std::uint64_t addr,
-                       const Prediction &pred) override
-                {
-                    inner->update(info, addr, pred);
-                }
-                std::string name() const override { return inner->name(); }
-                std::shared_ptr<BlockingPredictor> inner;
-            };
-            return std::make_unique<Shim>(blocking);
-        });
-
-    // Wedge the worker inside the stub's predict(), then fill the
-    // idle queue to capacity with fire-and-forget trains.
-    std::thread wedged([&service] {
+    // The train runs on its caller's thread, so it cannot return
+    // before the shard is free to apply it.
+    std::atomic<bool> returned{false};
+    std::thread trainer([&service, &returned] {
         LoadInfo info;
         info.pc = 0x1000;
-        EXPECT_TRUE(service.predict(info));
+        EXPECT_TRUE(service.train(info, 0x2000, Prediction{}));
+        returned.store(true);
     });
-    blocking->awaitEntered();
-
-    LoadInfo info;
-    info.pc = 0x1000;
-    Prediction dummy;
-    EXPECT_TRUE(service.train(info, 0x2000, dummy));
-    EXPECT_TRUE(service.train(info, 0x2000, dummy));
-
-    // These producers block inside push(block=true): the queue is
-    // full and the only worker is wedged, so nothing can drain it.
-    std::vector<std::thread> producers;
-    std::vector<Expected<void>> results(3, ok());
-    for (int i = 0; i < 3; ++i) {
-        producers.emplace_back([&service, &results, i] {
-            LoadInfo blocked_info;
-            blocked_info.pc = 0x1000;
-            Prediction blocked_dummy;
-            results[static_cast<std::size_t>(i)] =
-                service.train(blocked_info, 0x2000, blocked_dummy);
-        });
-    }
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(returned.load());
 
-    // stop() closes the queues first and only then joins the workers,
-    // so the blocked producers must wake with a structured Shutdown
-    // error *before* the wedged worker is released — a hang here is
-    // exactly the close()/shutdown race this test pins down.
-    std::thread stopper([&service] { service.stop(); });
-    for (auto &producer : producers)
-        producer.join();
-    for (const auto &result : results) {
-        ASSERT_FALSE(result);
-        EXPECT_EQ(result.error().code(), ErrorCode::Shutdown);
-    }
+    blocking->release();
+    trainer.join();
+    wedged.join();
+    EXPECT_TRUE(returned.load());
+    EXPECT_EQ(service.snapshot()[0].trains, 1u);
+}
 
-    // Release the worker so stop() can drain and join.
+TEST(ServeThreaded, StopWaitsOutTheRunningRequestAndRefusesWaitingOnes)
+{
+    auto blocking = std::make_shared<BlockingPredictor>();
+    ServiceConfig config;
+    config.shards = 1;
+    config.auditEveryBatches = 0;
+    PredictionService service(config, blockingFactory(blocking));
+
+    std::thread wedged([&service] {
+        LoadInfo info;
+        info.pc = 0x1000;
+        EXPECT_TRUE(service.predict(info));
+    });
+    blocking->awaitEntered();
+
+    // A train waiting for the wedged shard's lock.
+    Expected<void> trained = ok();
+    std::thread trainer([&service, &trained] {
+        LoadInfo info;
+        info.pc = 0x1000;
+        trained = service.train(info, 0x2000, Prediction{});
+    });
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (service.queueDepth(0) < 2 &&
+           std::chrono::steady_clock::now() < until)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(service.queueDepth(0), 2u);
+
+    // stop() refuses at once but returns only after the running
+    // request has finished.
+    std::atomic<bool> stopReturned{false};
+    std::thread stopper([&service, &stopReturned] {
+        service.stop();
+        stopReturned.store(true);
+    });
+    while (!service.stopped())
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(stopReturned.load());
+
     blocking->release();
     stopper.join();
+    trainer.join();
     wedged.join();
-    EXPECT_TRUE(service.stopped());
+    EXPECT_TRUE(stopReturned.load());
+    ASSERT_FALSE(trained);
+    EXPECT_EQ(trained.error().code(), ErrorCode::Shutdown);
+    EXPECT_EQ(service.snapshot()[0].trains, 0u);
+    EXPECT_EQ(service.queueDepth(0), 0u);
+}
+
+TEST(ServeThreaded, ClientsOnOwnShardsMatchTheShardedReference)
+{
+    const Trace trace = testTrace();
+    constexpr unsigned shards = 4;
+
+    ServiceConfig config;
+    config.shards = shards;
+    config.auditEveryBatches = 64;
+    PredictionService service(config, testHybridFactory());
+
+    // Client c replays every non-load record (the full global history)
+    // and only the loads that route to shard c: concurrent clients
+    // that never share a shard, each feeding its shard exactly the
+    // stream the reference sim of that shard sees.
+    std::vector<Trace> streams(shards);
+    for (unsigned c = 0; c < shards; ++c) {
+        streams[c].reserve(trace.size());
+        for (const auto &rec : trace.records()) {
+            if (!rec.isLoad() || shardOfPc(rec.pc, shards) == c)
+                streams[c].append(rec);
+        }
+    }
+    std::vector<Expected<ReplayResult>> results;
+    results.reserve(shards);
+    for (unsigned c = 0; c < shards; ++c)
+        results.emplace_back(ReplayResult{});
+    {
+        std::vector<std::thread> threads;
+        for (unsigned c = 0; c < shards; ++c) {
+            threads.emplace_back([&service, &streams, &results, c] {
+                ClientSession session = service.connect();
+                results[c] = replayTrace(session, streams[c]);
+            });
+        }
+        for (auto &thread : threads)
+            thread.join();
+    }
+    service.stop();
+
+    for (const auto &result : results) {
+        ASSERT_TRUE(result) << result.error().str();
+        EXPECT_GT(result->loads, 0u);
+    }
+    // Stats are a pure function of each shard's train stream, however
+    // the clients interleave.
+    EXPECT_EQ(service.aggregateStats(),
+              shardedReferenceStats(trace, testHybridFactory(), shards));
+    EXPECT_TRUE(service.health());
 }
 
 } // namespace

@@ -41,8 +41,6 @@ lifecycleConfig(unsigned shards = 2)
 {
     ServiceConfig config;
     config.shards = shards;
-    config.deterministic = true;
-    config.overload = OverloadPolicy::Block;
     config.journalCapacity = 65536;
     return config;
 }
