@@ -83,6 +83,13 @@ clapr_bad --strikes=-1
 clapr_bad --health-interval-ms=1s
 clapr_bad --journal-capacity=lots
 clapr_bad --ready-fd=-1
+# Replica lists the gateway could never serve: a spec that is no
+# endpoint, and one replica listed twice (it would be trained twice).
+refused clapr "bad replica 'foo'" --replica=foo \
+    "$CLAPR" --endpoint="unix:$WORK/r.sock" --quiet
+refused clapr "is listed twice" --replica="unix:$WORK/d.sock" \
+    "$CLAPR" --endpoint="unix:$WORK/r.sock" \
+    --replica="unix:$WORK/d.sock" --quiet
 
 if [ "$STATUS" -ne 0 ]; then
     echo "daemon_cli_contract: FAILED" >&2

@@ -25,8 +25,7 @@
  *
  * This is the client-side half of the netchaos harness; server
  * kill/restart is driven by the bench driver itself (bracketed
- * restarts of a child process), and mid-batch disconnects fall out of
- * disconnect faults landing between the sends of a pipelined batch.
+ * restarts of a child process).
  *
  * Plugs into NetClient via ClientConfig::decorate.
  */

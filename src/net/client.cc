@@ -144,6 +144,7 @@ NetClient::ensureConnected()
     }
     serverClockOffsetNs_ = static_cast<std::int64_t>(epochNs) -
         static_cast<std::int64_t>(obs::traceClockEpochUnixNs());
+    connectionFirstId_ = nextId_;
     ++counters_.connects;
     return ok();
 }
@@ -324,119 +325,19 @@ NetClient::predict(const LoadInfo &info)
     return pred;
 }
 
-std::vector<Expected<Prediction>>
-NetClient::predictBatch(const std::vector<LoadInfo> &infos)
-{
-    std::vector<Expected<Prediction>> results(
-        infos.size(),
-        Expected<Prediction>(makeError(ErrorCode::ConnectionLost,
-                                       "not attempted")));
-    if (infos.empty())
-        return results;
-
-    // Indices still awaiting a final answer (correct reply or server
-    // ErrorReply). A transport failure retries exactly this suffix.
-    std::vector<std::size_t> pending(infos.size());
-    for (std::size_t i = 0; i < infos.size(); ++i)
-        pending[i] = i;
-    Error last = makeError(ErrorCode::ConnectionLost, "never attempted");
-
-    for (unsigned attempt = 1;
-         attempt <= config_.maxAttempts && !pending.empty();
-         ++attempt) {
-        if (attempt > 1) {
-            ++counters_.retries;
-            backoff(attempt - 1);
-        }
-        if (auto connected = ensureConnected(); !connected) {
-            last = std::move(connected.error());
-            if (!isTransportRetryable(last.code()))
-                break;
-            continue;
-        }
-
-        // Pipeline: send every pending request before reading the
-        // first reply.
-        std::vector<std::uint64_t> ids(pending.size(), 0);
-        bool sendFailed = false;
-        for (std::size_t p = 0; p < pending.size(); ++p) {
-            ids[p] = nextId_++;
-            auto sent = sendFrame(FrameType::Predict, ids[p],
-                                  encodePredictRequest(infos[pending[p]]));
-            if (!sent) {
-                last = std::move(sent.error());
-                sendFailed = true;
-                break;
-            }
-        }
-        if (sendFailed) {
-            if (!isTransportRetryable(last.code()))
-                break;
-            continue;
-        }
-
-        // Collect replies in order; the server answers FIFO.
-        std::vector<std::size_t> unanswered;
-        bool transportLoss = false;
-        for (std::size_t p = 0; p < pending.size(); ++p) {
-            if (transportLoss) {
-                unanswered.push_back(pending[p]);
-                continue;
-            }
-            auto reply = awaitReply(ids[p], FrameType::PredictOk,
-                                    config_.requestDeadlineMs);
-            if (!reply) {
-                last = std::move(reply.error());
-                transportLoss = true;
-                unanswered.push_back(pending[p]);
-                continue;
-            }
-            const std::size_t index = pending[p];
-            if (reply->isError) {
-                results[index] = std::move(reply->serverError);
-                continue;
-            }
-            std::uint64_t pc = 0;
-            Prediction pred;
-            if (!decodePredictResponse(reply->frame.payload, pc, pred)) {
-                disconnect();
-                last = makeError(ErrorCode::ProtocolError,
-                                 "malformed PredictOk payload");
-                transportLoss = true;
-                unanswered.push_back(index);
-                continue;
-            }
-            if (pc != infos[index].pc) {
-                ++counters_.wrongReplies;
-                disconnect();
-                last = makeError(ErrorCode::ProtocolError,
-                                 "PredictOk pc echo mismatch");
-                transportLoss = true;
-                unanswered.push_back(index);
-                continue;
-            }
-            ++counters_.predictsOk;
-            results[index] = pred;
-        }
-        pending = std::move(unanswered);
-        if (!pending.empty() && !isTransportRetryable(last.code()))
-            break;
-    }
-
-    if (!pending.empty())
-        ++counters_.transportErrors;
-    for (const std::size_t index : pending) {
-        Error error = last;
-        results[index] = std::move(error).withContext(
-            "after " + std::to_string(config_.maxAttempts) +
-            " attempts");
-    }
-    return results;
-}
-
 Expected<void>
 NetClient::train(const LoadInfo &info, std::uint64_t actual_addr,
                  const Prediction &pred)
+{
+    auto id = sendTrain(info, actual_addr, pred);
+    if (!id)
+        return std::move(id.error());
+    return awaitTrain(*id);
+}
+
+Expected<std::uint64_t>
+NetClient::sendTrain(const LoadInfo &info, std::uint64_t actual_addr,
+                     const Prediction &pred)
 {
     // One attempt, ever: a transport failure after the frame left
     // leaves the train's fate unknown, and re-sending could apply it
@@ -471,6 +372,19 @@ NetClient::train(const LoadInfo &info, std::uint64_t actual_addr,
         !sent) {
         ++counters_.transportErrors;
         return std::move(sent.error())
+            .withContext("train (outcome unknown, never retried)");
+    }
+    return id;
+}
+
+Expected<void>
+NetClient::awaitTrain(std::uint64_t id)
+{
+    if (!stream_ || id < connectionFirstId_) {
+        ++counters_.transportErrors;
+        return makeError(ErrorCode::ConnectionLost,
+                         "connection lost before reply " +
+                             std::to_string(id))
             .withContext("train (outcome unknown, never retried)");
     }
     auto reply = awaitReply(id, FrameType::TrainOk,

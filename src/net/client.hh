@@ -26,10 +26,13 @@
  *     failure: it is returned as-is (its code says whether the caller
  *     may retry).
  *
- * Pipelining: predictBatch() sends every request frame before reading
- * the first reply (the server answers one connection in order), so a
- * batch costs one round-trip, and a mid-batch disconnect retries
- * exactly the unanswered suffix.
+ * Pipelining: train() is sendTrain() then awaitTrain(). A caller may
+ * send several trains before it awaits the first reply (the server
+ * answers one connection in order), provided it awaits them in send
+ * order and makes no other request in between; the replica gateway
+ * sends a train to every replica's client first, so the waits
+ * overlap. The split keeps the never-retry rule: sendTrain() retries
+ * only the connect, and awaitTrain() never re-sends.
  *
  * Every PredictOk carries the request's PC; a mismatch counts as a
  * wrong reply (counters().wrongReplies) and drops the connection —
@@ -43,7 +46,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "core/predictor.hh"
 #include "net/socket.hh"
@@ -135,18 +137,22 @@ class NetClient
 
     Expected<Prediction> predict(const LoadInfo &info);
 
-    /**
-     * Pipelined batch: one result per input, same order. Individual
-     * results may be errors (shed, overloaded, transport) while
-     * others succeed; a mid-batch disconnect retries only the
-     * unanswered suffix.
-     */
-    std::vector<Expected<Prediction>>
-    predictBatch(const std::vector<LoadInfo> &infos);
-
-    /** Exactly one attempt; never retried (see file comment). */
+    /** Exactly one attempt; never retried (see file comment).
+     *  sendTrain() then awaitTrain(). */
     Expected<void> train(const LoadInfo &info, std::uint64_t actual_addr,
                          const Prediction &pred);
+
+    /** The send half of train(): connect (with the usual connect
+     *  retries), then send the frame exactly once. Returns the
+     *  request id to pass to awaitTrain(). */
+    Expected<std::uint64_t> sendTrain(const LoadInfo &info,
+                                      std::uint64_t actual_addr,
+                                      const Prediction &pred);
+
+    /** The await half of train(): read the TrainOk for @p id within
+     *  the request deadline. A connection lost since the send fails
+     *  with the outcome unknown; nothing is re-sent. */
+    Expected<void> awaitTrain(std::uint64_t id);
 
     Expected<void> ping();
     Expected<ServiceWireStats> stats();
@@ -244,6 +250,9 @@ class NetClient
     std::unique_ptr<Stream> stream_;
     FrameReader reader_;
     std::uint64_t nextId_ = 1;
+    /// First request id sent on the current connection; an older id's
+    /// reply went down with an earlier connection.
+    std::uint64_t connectionFirstId_ = 1;
     Rng jitter_;
     ClientCounters counters_;
     std::int64_t serverClockOffsetNs_ = 0;

@@ -1,5 +1,6 @@
 #include "replica/gateway.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <utility>
@@ -134,6 +135,27 @@ ReplicaGatewayConfig::validate() const
     if (replicas.empty())
         return makeError(ErrorCode::InvalidConfig,
                          "ReplicaGatewayConfig: need >= 1 replica");
+    // A repeat would train one process twice per train and audit it
+    // against itself, so endpoints are compared in parsed form.
+    std::vector<std::string> seen;
+    for (const std::string &spec : replicas) {
+        auto endpoint = net::parseEndpoint(spec);
+        if (!endpoint)
+            return makeError(ErrorCode::InvalidConfig,
+                             "ReplicaGatewayConfig: bad replica '" +
+                                 spec + "': " + endpoint.error().message());
+        // Port 0 means "any free port" to bind; a connect never reaches it.
+        if (endpoint->kind == net::Endpoint::Kind::Tcp && endpoint->port == 0)
+            return makeError(ErrorCode::InvalidConfig,
+                             "ReplicaGatewayConfig: replica '" + spec +
+                                 "' has port 0");
+        const std::string canonical = endpoint->str();
+        if (std::find(seen.begin(), seen.end(), canonical) != seen.end())
+            return makeError(ErrorCode::InvalidConfig,
+                             "ReplicaGatewayConfig: replica '" + spec +
+                                 "' is listed twice");
+        seen.push_back(canonical);
+    }
     if (shards == 0)
         return makeError(ErrorCode::InvalidConfig,
                          "ReplicaGatewayConfig: shards must be >= 1");
@@ -328,25 +350,43 @@ ReplicaGateway::handleTrain(const Frame &frame)
         }
     }
 
-    unsigned applied = 0;
+    // Send to every target before awaiting any reply, so the fan-out
+    // costs one replica round trip, not one per replica. Links lock in
+    // ascending index (targets is ascending) and each is released as
+    // soon as its own reply is read.
+    std::vector<std::unique_lock<std::mutex>> linkLocks;
+    std::vector<Expected<std::uint64_t>> sent;
+    linkLocks.reserve(targets.size());
+    sent.reserve(targets.size());
     for (unsigned idx : targets) {
         Link &link = *links_[idx];
+        linkLocks.emplace_back(link.mutex);
         trainSends_.fetch_add(1, std::memory_order_relaxed);
         fanned.add();
-        Expected<void> trained = [&] {
-            std::lock_guard<std::mutex> lock(link.mutex);
-            return link.client->train(info, actual, pred);
-        }();
+        sent.push_back(link.client->sendTrain(info, actual, pred));
+    }
+    std::vector<bool> trained(targets.size(), false);
+    for (std::size_t k = 0; k < targets.size(); ++k) {
+        net::NetClient &client = *links_[targets[k]]->client;
+        trained[k] = sent[k] && client.awaitTrain(*sent[k]);
+        linkLocks[k].unlock();
+    }
+
+    unsigned applied = 0;
+    {
         std::lock_guard<std::mutex> lock(tableMutex_);
-        if (trained) {
-            table_.counters(idx).trainsApplied++;
-            applied++;
-        } else {
-            // Outcome unknown (or refused): this replica's state may
-            // have forked from the fan-out. Never retried — Down now,
-            // snapshot bootstrap later.
-            table_.counters(idx).trainFailures++;
-            table_.markDown(idx);
+        for (std::size_t k = 0; k < targets.size(); ++k) {
+            const unsigned idx = targets[k];
+            if (trained[k]) {
+                table_.counters(idx).trainsApplied++;
+                applied++;
+            } else {
+                // Outcome unknown (or refused): this replica's state
+                // may have forked from the fan-out. Never retried —
+                // Down now, snapshot bootstrap later.
+                table_.counters(idx).trainFailures++;
+                table_.markDown(idx);
+            }
         }
     }
 

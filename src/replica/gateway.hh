@@ -6,7 +6,10 @@
  * with clapd and only the replication policy lives here:
  *
  *   - Trains fan out to every Healthy/Suspect replica under one
- *     mutex (a global train order all replicas agree on). Trains are
+ *     mutex (a global train order all replicas agree on). The train
+ *     is sent to every replica before any reply is awaited, so a
+ *     fan-out costs about one replica round trip, not one per
+ *     replica; each replica still gets exactly one send. Trains are
  *     never shed: a replica whose train fails — outcome unknown — is
  *     marked Down on the spot, because its state may have forked; a
  *     Joining replica's trains are journaled and replayed after its
@@ -243,7 +246,11 @@ class ReplicaGateway : public net::FrameHandler
     struct Link
     {
         std::unique_ptr<net::NetClient> client;
-        std::mutex mutex; ///< NetClient is single-threaded; innermost lock
+        /// NetClient is single-threaded. Held alone, except by the
+        /// train fan-out, which holds every target's link (taken in
+        /// ascending index under trainMutex_) from its send until its
+        /// own reply is read. Never held while taking tableMutex_.
+        std::mutex mutex;
         std::atomic<unsigned> inFlight{0};
     };
 

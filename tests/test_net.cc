@@ -355,24 +355,33 @@ TEST(NetServerClient, RoundTripsOverUds)
     EXPECT_GE(counters.requests, 7u);
 }
 
-TEST(NetServerClient, PipelinedBatchAnswersEveryItemInOrder)
+TEST(NetServerClient, PipelinedTrainsAreAnsweredInOrder)
 {
-    const std::string endpoint = udsEndpoint("batch");
+    const std::string endpoint = udsEndpoint("pipeline");
     TestGateway gateway(endpoint);
 
     ClientConfig config;
     config.endpoint = endpoint;
     NetClient client(config);
 
-    std::vector<LoadInfo> infos;
-    for (int i = 0; i < 32; ++i)
-        infos.push_back(client.makeInfo(0x4000 + 16ull * i, 0));
-    auto results = client.predictBatch(infos);
-    ASSERT_EQ(results.size(), infos.size());
-    for (const auto &result : results)
-        EXPECT_TRUE(result);
-    EXPECT_EQ(client.counters().predictsOk, infos.size());
+    // Every train leaves before the first reply is read; the server
+    // answers one connection in order, so each await finds its own
+    // TrainOk next.
+    std::vector<std::uint64_t> ids;
+    for (int i = 0; i < 32; ++i) {
+        auto id = client.sendTrain(client.makeInfo(0x4000 + 16ull * i, 0),
+                                   0x8000 + 64ull * i, Prediction{});
+        ASSERT_TRUE(id) << id.error().str();
+        ids.push_back(*id);
+    }
+    for (const std::uint64_t id : ids) {
+        auto trained = client.awaitTrain(id);
+        EXPECT_TRUE(trained) << trained.error().str();
+    }
+    EXPECT_EQ(client.counters().trainsOk, ids.size());
     EXPECT_EQ(client.counters().wrongReplies, 0u);
+    EXPECT_EQ(client.counters().connects, 1u);
+    EXPECT_EQ(gateway.service.aggregateStats().loads, ids.size());
 }
 
 TEST(NetServerClient, TcpEphemeralPortIsDiscoverable)
@@ -568,6 +577,36 @@ TEST(NetClientRetry, TrainIsNeverRetriedAfterTransportLoss)
     auto stats = client.stats();
     ASSERT_TRUE(stats);
     EXPECT_EQ(stats->aggregate.loads, 0u);
+}
+
+TEST(NetClientRetry, AwaitAfterTheConnectionDroppedIsAnUnknownOutcome)
+{
+    const std::string endpoint = udsEndpoint("lostreply");
+    TestGateway gateway(endpoint);
+
+    ClientConfig config;
+    config.endpoint = endpoint;
+    NetClient client(config);
+
+    // The connection drops between the send and the await: the
+    // train's outcome is unknown, and nothing is re-sent.
+    auto id = client.sendTrain(client.makeInfo(0x1000, 0), 0x2000,
+                               Prediction{});
+    ASSERT_TRUE(id) << id.error().str();
+    client.disconnect();
+    auto lost = client.awaitTrain(*id);
+    ASSERT_FALSE(lost);
+    EXPECT_EQ(lost.error().code(), ErrorCode::ConnectionLost);
+
+    // Nor is its reply looked for on the next connection: the await
+    // fails at once and leaves the new connection up.
+    ASSERT_TRUE(client.ping());
+    EXPECT_FALSE(client.awaitTrain(*id));
+    EXPECT_TRUE(client.connected());
+    EXPECT_EQ(client.counters().connects, 2u);
+    EXPECT_EQ(client.counters().trainsOk, 0u);
+    EXPECT_EQ(client.counters().transportErrors, 2u);
+    EXPECT_EQ(client.counters().wrongReplies, 0u);
 }
 
 // --- Admission control --------------------------------------------

@@ -3,15 +3,23 @@
  * Tests for the replication layer (src/replica/): the replica table's
  * health state machine and pick policies as pure units, and the
  * gateway against in-process replica services — cold start, train
- * fan-out, predict failover, divergence handling (train failure marks
- * a replica Down), the snapshot-plus-journal rejoin, and the
- * divergence auditor that cross-checks per-shard stats bit for bit.
+ * fan-out (sent to every replica before any reply is awaited),
+ * predict failover, divergence handling (train failure marks a
+ * replica Down), the snapshot-plus-journal rejoin, concurrent
+ * clients, and the divergence auditor that cross-checks per-shard
+ * stats bit for bit.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -264,12 +272,89 @@ TEST(ReplicaChaos, KillPlanIsSeedPureAndDrawnUpFront)
 
 // --- Gateway over in-process replica services ---------------------
 
+/**
+ * Holds each replica's n-th Train until every replica sharing the hold
+ * has received its n-th Train, or until @p hold_ms passes; then that
+ * replica refuses the train and the timeout is counted. A fan-out
+ * that awaits one replica's reply before it sends to the next can
+ * never release a hold.
+ */
+class TrainHold
+{
+  public:
+    TrainHold(unsigned replicas, int hold_ms)
+        : seen_(replicas, 0), holdMs_(hold_ms)
+    {
+    }
+
+    /** Replica @p replica received a train; false if the hold timed
+     *  out before every replica had its copy. */
+    bool
+    arrive(unsigned replica)
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        const unsigned n = ++seen_[replica];
+        allArrived_.notify_all();
+        const bool released = allArrived_.wait_for(
+            lock, std::chrono::milliseconds(holdMs_), [&] {
+                return *std::min_element(seen_.begin(), seen_.end()) >= n;
+            });
+        if (!released)
+            ++timeouts_;
+        return released;
+    }
+
+    unsigned
+    timeouts() const
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return timeouts_;
+    }
+
+  private:
+    mutable std::mutex mutex_;
+    std::condition_variable allArrived_;
+    std::vector<unsigned> seen_;
+    unsigned timeouts_ = 0;
+    int holdMs_;
+};
+
+/** clapd's request handler, with Trains optionally passed through a
+ *  TrainHold first. */
+class ReplicaHandler : public net::FrameHandler
+{
+  public:
+    ReplicaHandler(PredictionService &service,
+                   const net::ServerConfig &config, TrainHold *hold,
+                   unsigned replica)
+        : inner_(service, nullptr, config), hold_(hold), replica_(replica)
+    {
+    }
+
+    net::HandlerReply
+    handle(const net::Frame &frame) override
+    {
+        if (frame.type == net::FrameType::Train && hold_ != nullptr &&
+            !hold_->arrive(replica_))
+            return net::HandlerReply::fail(makeError(
+                ErrorCode::DeadlineExceeded, "train hold timed out"));
+        return inner_.handle(frame);
+    }
+
+  private:
+    net::ServiceFrameHandler inner_;
+    TrainHold *hold_;
+    unsigned replica_;
+};
+
 /** One in-process replica: a service + NetServer. */
 struct InProcReplica
 {
-    explicit InProcReplica(const std::string &endpoint)
+    InProcReplica(const std::string &endpoint, TrainHold *hold,
+                  unsigned replica)
         : service(makeConfig(), testHybridFactory()),
-          server(service, nullptr, makeServerConfig(endpoint))
+          handler(service, makeServerConfig(endpoint), hold, replica),
+          server(handler, makeServerConfig(endpoint))
     {
         auto started = server.start();
         EXPECT_TRUE(started) << started.error().str();
@@ -301,18 +386,20 @@ struct InProcReplica
     }
 
     PredictionService service;
+    ReplicaHandler handler;
     net::NetServer server;
 };
 
 struct GatewayFixture
 {
-    explicit GatewayFixture(const char *tag, unsigned replicas = 2)
+    explicit GatewayFixture(const char *tag, unsigned replicas = 2,
+                            TrainHold *hold = nullptr)
     {
         for (unsigned i = 0; i < replicas; ++i) {
             endpoints.push_back(udsEndpoint(
                 (std::string(tag) + std::to_string(i)).c_str()));
-            backends.push_back(
-                std::make_unique<InProcReplica>(endpoints.back()));
+            backends.push_back(std::make_unique<InProcReplica>(
+                endpoints.back(), hold, i));
         }
         ReplicaGatewayConfig config;
         config.replicas = endpoints;
@@ -378,6 +465,27 @@ TEST(ReplicaGateway, ValidatesItsConfig)
     EXPECT_TRUE(config.validate());
     config.shards = 0;
     EXPECT_FALSE(config.validate());
+    config.shards = 2;
+
+    // A spec that is no endpoint names a replica no connect can
+    // reach, and a repeated one would train one process twice.
+    config.replicas = {"foo"};
+    auto bad = config.validate();
+    ASSERT_FALSE(bad);
+    EXPECT_EQ(bad.error().code(), ErrorCode::InvalidConfig);
+    config.replicas = {"unix:/tmp/r0.sock", "unix:/tmp/r1.sock",
+                       "unix:/tmp/r0.sock"};
+    auto repeated = config.validate();
+    ASSERT_FALSE(repeated);
+    EXPECT_EQ(repeated.error().code(), ErrorCode::InvalidConfig);
+    // Compared as parsed endpoints: one port, spelled two ways.
+    config.replicas = {"tcp:127.0.0.1:7000", "tcp:127.0.0.1:07000"};
+    EXPECT_FALSE(config.validate());
+    // Port 0 binds anywhere but connects nowhere.
+    config.replicas = {"tcp:127.0.0.1:0"};
+    EXPECT_FALSE(config.validate());
+    config.replicas = {"tcp:127.0.0.1:7000", "tcp:127.0.0.1:7001"};
+    EXPECT_TRUE(config.validate());
 }
 
 TEST(ReplicaGateway, ColdStartJoinsEveryBlankReplica)
@@ -463,19 +571,96 @@ TEST(ReplicaGateway, PredictFailsOverInsideOneRequest)
 
 TEST(ReplicaGateway, TrainFailureMarksTheReplicaDownNotRetried)
 {
-    GatewayFixture fixture("divergent");
+    // Replica 1 is the fan-out's last target and replica 0 its first:
+    // a dead first replica must not keep the train from the rest.
+    for (const unsigned victim : {1u, 0u}) {
+        SCOPED_TRACE("victim replica " + std::to_string(victim));
+        const unsigned survivor = 1 - victim;
+        GatewayFixture fixture(victim == 1 ? "divergent1_" : "divergent0_");
+        fixture.joinAll();
+
+        fixture.backends[victim]->stop();
+        const net::HandlerReply reply = fixture.trainOnce(0x3000, 0x9100);
+        // The surviving replica applied it, so the client's train
+        // succeeds; the dead replica's outcome is unknown -> Down.
+        EXPECT_FALSE(reply.isError) << reply.error.str();
+        const std::vector<ReplicaSnapshot> snaps =
+            fixture.gateway->replicaSnapshots();
+        EXPECT_EQ(snaps[victim].state, ReplicaState::Down);
+        EXPECT_EQ(snaps[victim].counters.trainFailures, 1u);
+        EXPECT_EQ(snaps[survivor].state, ReplicaState::Healthy);
+        EXPECT_EQ(snaps[survivor].counters.trainFailures, 0u);
+        EXPECT_EQ(snaps[survivor].counters.trainsApplied, 1u);
+    }
+}
+
+TEST(ReplicaGateway, TrainReachesEveryReplicaBeforeAnyReplies)
+{
+    // Each replica holds a train until all three have it. The hold
+    // gives up well inside the gateway's request deadline, so a
+    // fan-out that waited for one reply before the next send fails
+    // here instead of hanging.
+    constexpr int kHoldMs = 1000;
+    ASSERT_LT(kHoldMs,
+              ReplicaGatewayConfig::defaultClient().requestDeadlineMs);
+    TrainHold hold(3, kHoldMs);
+    GatewayFixture fixture("hold", 3, &hold);
     fixture.joinAll();
 
-    fixture.backends[1]->stop();
-    const net::HandlerReply reply = fixture.trainOnce(0x3000, 0x9100);
-    // The surviving replica applied it, so the client's train
-    // succeeds; the dead replica's outcome is unknown -> Down.
-    EXPECT_FALSE(reply.isError) << reply.error.str();
-    const std::vector<ReplicaSnapshot> snaps =
-        fixture.gateway->replicaSnapshots();
-    EXPECT_EQ(snaps[1].state, ReplicaState::Down);
-    EXPECT_EQ(snaps[1].counters.trainFailures, 1u);
-    EXPECT_EQ(snaps[0].counters.trainsApplied, 1u);
+    for (std::uint64_t i = 0; i < 2; ++i) {
+        const net::HandlerReply reply =
+            fixture.trainOnce(0x6000 + i * 8, 0xb000 + i * 64);
+        ASSERT_FALSE(reply.isError) << reply.error.str();
+    }
+    EXPECT_EQ(hold.timeouts(), 0u);
+    for (const ReplicaSnapshot &snap :
+         fixture.gateway->replicaSnapshots()) {
+        EXPECT_EQ(snap.state, ReplicaState::Healthy);
+        EXPECT_EQ(snap.counters.trainsApplied, 2u);
+    }
+}
+
+TEST(ReplicaGateway, ConcurrentClientsKeepReplicasEqual)
+{
+    // Four client threads through one gateway, as clapr serves its
+    // connections: fan-outs hold several links at once while predicts
+    // take one. The threads share PCs, so their trains interleave on
+    // the same static loads; the global train order keeps every
+    // replica's stats equal anyway.
+    GatewayFixture fixture("concurrent", 3);
+    fixture.joinAll();
+
+    constexpr unsigned kThreads = 4;
+    constexpr unsigned kCycles = 200;
+    std::atomic<unsigned> errors{0};
+    std::vector<std::thread> clients;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        clients.emplace_back([&fixture, &errors, t] {
+            for (std::uint64_t i = 0; i < kCycles; ++i) {
+                const net::HandlerReply reply = fixture.trainOnce(
+                    0x7000 + (i % 32) * 8, 0xc0000 + t * 0x1000 + i * 8);
+                if (reply.isError)
+                    errors.fetch_add(1);
+            }
+        });
+    }
+    for (std::thread &client : clients)
+        client.join();
+
+    EXPECT_EQ(errors.load(), 0u);
+    const GatewayCounters counters = fixture.gateway->counters();
+    EXPECT_EQ(counters.predictsFailed, 0u);
+    EXPECT_EQ(counters.trains, kThreads * kCycles);
+    EXPECT_EQ(counters.trainSends, 3u * kThreads * kCycles);
+    auto audit = fixture.gateway->auditReplicas();
+    ASSERT_TRUE(audit) << audit.error().str();
+    EXPECT_TRUE(audit->equal);
+    EXPECT_EQ(audit->replicasAudited.size(), 3u);
+    const PredictionStats first =
+        fixture.backends[0]->service.aggregateStats();
+    EXPECT_EQ(first.loads, kThreads * kCycles);
+    EXPECT_EQ(fixture.backends[1]->service.aggregateStats(), first);
+    EXPECT_EQ(fixture.backends[2]->service.aggregateStats(), first);
 }
 
 TEST(ReplicaGateway, AllReplicasDownIsAStructuredRefusal)
