@@ -35,12 +35,13 @@
  *   --chaos-seed=N  injection-sequence seed (default 0xc4a05)
  *
  * Environment knobs:
- *   CLAP_SERVE_SHARDS   shard count (default 4, power of two)
+ *   CLAP_SERVE_SHARDS   shard count (default 4, at most 4096; rounded
+ *                       down to a power of two)
  *   CLAP_TRACE_INSTS    per-trace instruction budget (suites.hh)
+ * A malformed or out-of-range CLAP_SERVE_SHARDS exits 2, naming it.
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -68,25 +69,6 @@ constexpr std::size_t chunkRecords = 16384;
 /// Snapshot every snapEvery-th tick; the ticks in between restore
 /// from the previous epoch and replay a non-empty journal.
 constexpr unsigned snapEvery = 2;
-
-unsigned
-envUnsigned(const char *name, unsigned fallback)
-{
-    const char *text = std::getenv(name);
-    if (text == nullptr || *text == '\0')
-        return fallback;
-    const long value = std::atol(text);
-    return value < 1 ? fallback : static_cast<unsigned>(value);
-}
-
-unsigned
-shardedConfigSize()
-{
-    unsigned shards = envUnsigned("CLAP_SERVE_SHARDS", 4);
-    while (!isPowerOf2(shards))
-        --shards;
-    return shards;
-}
 
 /// One representative trace per behavioural family (as bench_serve).
 std::vector<TraceSpec>
@@ -174,18 +156,16 @@ struct ChaosCell
 };
 
 /**
- * Run one chaos cell: chunked replay of @p trace with a fault
- * injected and recovered at every chunk boundary. @p ladder enables
- * the kill / snapshot-damage fault classes (and drops the equality
- * assertion — see file comment).
+ * Run one chaos cell: chunked replay of @p trace on @p shards shards
+ * with a fault injected and recovered at every chunk boundary.
+ * @p ladder enables the kill / snapshot-damage fault classes (and
+ * drops the equality assertion — see file comment).
  */
 Expected<ChaosCell>
 runChaosCell(const std::string &phase, const TraceSpec &spec,
-             std::shared_ptr<const Trace> trace, bool ladder,
-             std::uint64_t seed)
+             std::shared_ptr<const Trace> trace, unsigned shards,
+             bool ladder, std::uint64_t seed)
 {
-    const unsigned shards = shardedConfigSize();
-
     ChaosCell cell;
     cell.phase = phase;
     cell.trace = spec.name;
@@ -340,6 +320,7 @@ std::vector<ChaosCell>
 results()
 {
     std::vector<ChaosCell> cells;
+    const unsigned shards = envShardCount("CLAP_SERVE_SHARDS");
     const std::vector<TraceSpec> specs = chaosSpecs();
     std::uint64_t cellSalt = 0;
     for (const bool ladder : {false, true}) {
@@ -349,8 +330,8 @@ results()
                 chaosSeed ^ (0x9e3779b97f4a7c15ull * ++cellSalt);
             auto trace =
                 globalTraceStore().get(spec, defaultTraceLength());
-            auto cell = runChaosCell(phase, spec, trace, ladder,
-                                     seed);
+            auto cell = runChaosCell(phase, spec, trace, shards,
+                                     ladder, seed);
             if (!cell) {
                 BenchState::instance().failures.push_back(
                     {"chaos/" + phase + "/" + spec.name,

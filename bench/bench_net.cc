@@ -15,8 +15,10 @@
  * CI runs to prove a faulty wire costs retries, never wrong replies
  * (the wrong_replies column must be 0).
  *
- * Environment knobs: CLAP_NET_CLIENTS (default 4), CLAP_NET_SHARDS
- * (default 4), CLAP_TRACE_INSTS (suites.hh).
+ * Environment knobs: CLAP_NET_CLIENTS (default 4, at most 1024),
+ * CLAP_NET_SHARDS (default 4, at most 4096; rounded down to a power
+ * of two), CLAP_TRACE_INSTS (suites.hh). A malformed or out-of-range
+ * client or shard count exits 2, naming the variable.
  *
  * Flags (besides the shared bench/sweep flags):
  *   --fault-rate=F   per-frame probability of each chaos fault class
@@ -34,7 +36,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -58,16 +59,6 @@ using namespace clap::net;
 
 double faultRate = 0.0;        ///< --fault-rate
 std::uint64_t netSeed = 0x7e57; ///< --net-seed
-
-unsigned
-envUnsigned(const char *name, unsigned fallback)
-{
-    const char *text = std::getenv(name);
-    if (text == nullptr || *text == '\0')
-        return fallback;
-    const long value = std::atol(text);
-    return value < 1 ? fallback : static_cast<unsigned>(value);
-}
 
 std::string
 socketPath()
@@ -179,10 +170,8 @@ NetLoadResult
 results()
 {
     NetLoadResult out;
-    out.clients = envUnsigned("CLAP_NET_CLIENTS", 4);
-    out.shards = envUnsigned("CLAP_NET_SHARDS", 4);
-    while (!isPowerOf2(out.shards))
-        --out.shards;
+    out.clients = envUnsigned("CLAP_NET_CLIENTS", 4, 1, 1024);
+    out.shards = envShardCount("CLAP_NET_SHARDS");
 
     std::vector<std::shared_ptr<const Trace>> traces;
     for (const char *suite : {"INT", "MM", "TPC", "NT"})
@@ -321,7 +310,7 @@ printResults()
     Table counters;
     counters.row({"connects", "retries", "transport_err", "error_reply",
                   "corrupt_reply", "wrong_replies", "go_aways",
-                  "srv_corrupt", "srv_shed", "srv_rejected"});
+                  "srv_corrupt"});
     counters.newRow();
     counters.cell(res.clientTotals.connects);
     counters.cell(res.clientTotals.retries);
@@ -331,8 +320,6 @@ printResults()
     counters.cell(res.clientTotals.wrongReplies);
     counters.cell(res.clientTotals.goAways);
     counters.cell(res.server.corruptFrames);
-    counters.cell(res.server.admitShed);
-    counters.cell(res.server.admitRejected);
     printTable("Failure counters (fault-rate " +
                    std::to_string(faultRate) +
                    "; wrong_replies must be 0)",

@@ -16,10 +16,13 @@
  * exits non-zero), which is what the CI serve-smoke job asserts.
  *
  * Environment knobs (besides the shared bench/sweep flags):
- *   CLAP_SERVE_SHARDS   sharded configuration size (default 4;
- *                       rounded down to a power of two)
- *   CLAP_SERVE_CLIENTS  concurrent client threads (default 4)
+ *   CLAP_SERVE_SHARDS   sharded configuration size (default 4, at
+ *                       most 4096; rounded down to a power of two)
+ *   CLAP_SERVE_CLIENTS  concurrent client threads (default 4, at
+ *                       most 1024)
  *   CLAP_TRACE_INSTS    per-trace instruction budget (suites.hh)
+ * A malformed or out-of-range shard or client count exits 2, naming
+ * the variable.
  *
  * Chaos-under-load flags (default off; see serve/chaos.hh):
  *   --fault-rate=N   expected predictor-state bit flips injected per
@@ -43,7 +46,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -64,25 +66,6 @@ using namespace clap::bench;
 
 double faultRatePerSec = 0.0; ///< --fault-rate (0 = chaos off)
 std::uint64_t chaosSeed = 0xc4a05; ///< --chaos-seed
-
-unsigned
-envUnsigned(const char *name, unsigned fallback)
-{
-    const char *text = std::getenv(name);
-    if (text == nullptr || *text == '\0')
-        return fallback;
-    const long value = std::atol(text);
-    return value < 1 ? fallback : static_cast<unsigned>(value);
-}
-
-unsigned
-shardedConfigSize()
-{
-    unsigned shards = envUnsigned("CLAP_SERVE_SHARDS", 4);
-    while (!isPowerOf2(shards))
-        --shards;
-    return shards;
-}
 
 /// One representative trace per behavioural family; clients cycle
 /// through these so the shard load is a mixed workload.
@@ -341,8 +324,8 @@ ServeResults
 results()
 {
     ServeResults out;
-    const unsigned sharded = shardedConfigSize();
-    const unsigned clients = envUnsigned("CLAP_SERVE_CLIENTS", 4);
+    const unsigned sharded = envShardCount("CLAP_SERVE_SHARDS");
+    const unsigned clients = envUnsigned("CLAP_SERVE_CLIENTS", 4, 1, 1024);
     const std::vector<TraceSpec> specs = clientSpecs();
 
     // The store shares each client trace with the cross-check

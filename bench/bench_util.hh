@@ -22,6 +22,8 @@
  * A binary may accept more flags (BenchFlag, passed to benchMain).
  * Any other argument, or a value that is malformed or out of range,
  * exits 2 with a message naming it and listing the accepted flags.
+ * A number read from the environment (envUnsigned) is held to the
+ * same rule.
  *
  * Results additionally land in BENCH_<name>.json (written atomically
  * via temp-file + rename): every printed table plus any failed jobs.
@@ -56,6 +58,7 @@
 #include "sim/experiment.hh"
 #include "trace/trace_store.hh"
 #include "util/atomic_file.hh"
+#include "util/bits.hh"
 #include "util/json.hh"
 #include "util/parse_number.hh"
 #include "util/table.hh"
@@ -352,6 +355,35 @@ seedFlag(std::string name, std::uint64_t &target)
                     std::numeric_limits<std::uint64_t>::max(), target,
                     /*cLiteral=*/true);
             }};
+}
+
+/**
+ * The number in environment variable @p name, or @p fallback when it
+ * is unset or empty. A value that is not wholly a number in
+ * [@p lo, @p hi] exits 2, naming the variable.
+ */
+inline unsigned
+envUnsigned(const char *name, unsigned fallback, unsigned lo,
+            unsigned hi)
+{
+    const char *text = std::getenv(name);
+    if (text == nullptr || *text == '\0')
+        return fallback;
+    unsigned value = 0;
+    if (!parseNumber(text, lo, hi, value)) {
+        std::fprintf(stderr, "bad value in %s='%s': want a number in "
+                     "%u..%u\n", name, text, lo, hi);
+        std::exit(2);
+    }
+    return value;
+}
+
+/** A shard count from environment variable @p name (default 4, at
+ *  most 4096), rounded down to a power of two. */
+inline unsigned
+envShardCount(const char *name)
+{
+    return 1u << floorLog2(envUnsigned(name, 4, 1, 4096));
 }
 
 /**

@@ -17,9 +17,8 @@
  *   clapd [--endpoint=unix:/tmp/clapd.sock | --endpoint=tcp:127.0.0.1:0]
  *         [--shards=N] [--journal-capacity=N]
  *         [--supervise] [--snapshot-dir=DIR] [--snapshot-interval-ms=N]
- *         [--max-connections=N] [--max-inflight=N]
+ *         [--max-connections=N]
  *         [--read-deadline-ms=N] [--write-deadline-ms=N]
- *         [--shed-fraction=F] [--reject-fraction=F]
  *         [--ready-fd=N] [--quiet]
  *
  * --ready-fd=N writes one byte to descriptor N (then closes it) once
@@ -27,11 +26,10 @@
  * process (a bench or a script) waits on. Each connection's thread runs
  * its requests itself, under the target shard's lock, so a
  * single-connection request stream is a pure function of its order —
- * what the benches' stats-equality checks rely on. Admission sheds
- * predicts once --shed-fraction of --max-inflight callers are running
- * on or waiting for the shards, and rejects everything at
- * --reject-fraction. A malformed or out-of-range number exits 2,
- * naming the flag.
+ * what the benches' stats-equality checks rely on. It also makes
+ * --max-connections the one load bound: a connection over it gets a
+ * GoAway carrying Overloaded, and at most that many requests run at
+ * once. A malformed or out-of-range number exits 2, naming the flag.
  *
  * clapd --probe=SPEC [--shutdown] turns the binary into a one-shot
  * client instead: connect, ping, one predict/train round trip, and
@@ -149,10 +147,9 @@ usage(const char *argv0)
                  "[--journal-capacity=N] [--supervise]\n"
                  "          [--snapshot-dir=DIR] "
                  "[--snapshot-interval-ms=N]\n"
-                 "          [--max-connections=N] [--max-inflight=N]\n"
+                 "          [--max-connections=N]\n"
                  "          [--read-deadline-ms=N] "
                  "[--write-deadline-ms=N]\n"
-                 "          [--shed-fraction=F] [--reject-fraction=F]\n"
                  "          [--ready-fd=N] [--quiet]\n"
                  "       %s --probe=SPEC [--shutdown] [--quiet]\n",
                  argv0, argv0);
@@ -192,16 +189,10 @@ parseOptions(int argc, char **argv, Options &opts)
         } else if (const char *v = valueOf("--max-connections=")) {
             valid = parseNumber(v, 1u, maxUnsigned,
                                 opts.server.maxConnections);
-        } else if (const char *v = valueOf("--max-inflight=")) {
-            valid = parseNumber(v, 1u, maxUnsigned, opts.server.maxInFlight);
         } else if (const char *v = valueOf("--read-deadline-ms=")) {
             valid = parseNumber(v, 1, maxInt, opts.server.readDeadlineMs);
         } else if (const char *v = valueOf("--write-deadline-ms=")) {
             valid = parseNumber(v, 1, maxInt, opts.server.writeDeadlineMs);
-        } else if (const char *v = valueOf("--shed-fraction=")) {
-            valid = parseNumber(v, 0.0, 1.0, opts.server.shedFraction);
-        } else if (const char *v = valueOf("--reject-fraction=")) {
-            valid = parseNumber(v, 0.0, 1.0, opts.server.rejectFraction);
         } else if (const char *v = valueOf("--ready-fd=")) {
             valid = parseNumber(v, 0, maxInt, opts.readyFd);
         } else if (const char *v = valueOf("--probe=")) {
@@ -308,14 +299,12 @@ main(int argc, char **argv)
     if (!opts.quiet) {
         const ServerCounters counters = server.counters();
         const PredictionStats stats = service.aggregateStats();
-        std::printf("clapd: %llu connection(s), %llu request(s), "
-                    "%llu shed, %llu rejected, %llu corrupt frame(s); "
+        std::printf("clapd: %llu connection(s), %llu turned away, "
+                    "%llu request(s), %llu corrupt frame(s); "
                     "%llu loads trained\n",
                     static_cast<unsigned long long>(counters.accepted),
+                    static_cast<unsigned long long>(counters.turnedAway),
                     static_cast<unsigned long long>(counters.requests),
-                    static_cast<unsigned long long>(counters.admitShed),
-                    static_cast<unsigned long long>(
-                        counters.admitRejected),
                     static_cast<unsigned long long>(
                         counters.corruptFrames),
                     static_cast<unsigned long long>(stats.loads));

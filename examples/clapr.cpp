@@ -18,7 +18,7 @@
  *         [--shards=N] [--balance=seeded|least-inflight]
  *         [--balance-seed=N] [--strikes=K] [--journal-capacity=N]
  *         [--health-interval-ms=N]
- *         [--max-connections=N] [--max-inflight=N]
+ *         [--max-connections=N]
  *         [--read-deadline-ms=N] [--write-deadline-ms=N]
  *         [--ready-fd=N] [--quiet]
  *
@@ -81,7 +81,7 @@ usage(const char *argv0)
                  "[--balance-seed=N]\n"
                  "          [--strikes=K] [--journal-capacity=N]\n"
                  "          [--health-interval-ms=N]\n"
-                 "          [--max-connections=N] [--max-inflight=N]\n"
+                 "          [--max-connections=N]\n"
                  "          [--read-deadline-ms=N] "
                  "[--write-deadline-ms=N]\n"
                  "          [--ready-fd=N] [--quiet]\n",
@@ -136,8 +136,6 @@ parseOptions(int argc, char **argv, Options &opts)
         } else if (const char *v = valueOf("--max-connections=")) {
             valid = parseNumber(v, 1u, maxUnsigned,
                                 opts.server.maxConnections);
-        } else if (const char *v = valueOf("--max-inflight=")) {
-            valid = parseNumber(v, 1u, maxUnsigned, opts.server.maxInFlight);
         } else if (const char *v = valueOf("--read-deadline-ms=")) {
             valid = parseNumber(v, 1, maxInt, opts.server.readDeadlineMs);
         } else if (const char *v = valueOf("--write-deadline-ms=")) {

@@ -6,7 +6,8 @@
 #   - a journalled sweep, rerun with --resume, replays every job from
 #     the journal and writes a byte-identical result JSON;
 #   - an unknown argument, or a value that is malformed or out of
-#     range, exits 2 before any work is done.
+#     range, exits 2 before any work is done; so does a malformed or
+#     out-of-range environment knob, and the message names it.
 #
 # Every run writes into a temporary directory that is removed at exit.
 #
@@ -70,6 +71,11 @@ expect 2 "$BENCH/bench_intro_rates" --resume=yes
 expect 2 "$BENCH/bench_chaos" --chaos-seed=7x
 expect 2 "$BENCH/bench_net" --fault-rate=abc
 expect 2 "$BENCH/bench_hotpath" --reps=0
+expect 2 env CLAP_SERVE_SHARDS=4x "$BENCH/bench_chaos"
+grep -q CLAP_SERVE_SHARDS run.log ||
+    fail "bench_chaos did not name CLAP_SERVE_SHARDS"
+expect 2 env CLAP_SERVE_SHARDS=0 "$BENCH/bench_serve"
+expect 2 env CLAP_NET_CLIENTS=abc "$BENCH/bench_net"
 
 if [ "$STATUS" -ne 0 ]; then
     echo "bench_cli: FAILURES (see above)" >&2

@@ -57,19 +57,18 @@ clapd_bad --write-deadline-ms=-1
 clapd_bad --read-deadline-ms=0
 clapd_bad --shards=4x
 clapd_bad --shards=
-clapd_bad --max-inflight=-1
-clapd_bad --max-inflight=4294967296
 clapd_bad --max-connections=0
+clapd_bad --max-connections=4294967296
 clapd_bad --journal-capacity=1e3
 clapd_bad --snapshot-interval-ms=10ms
-clapd_bad --shed-fraction=half
-clapd_bad --reject-fraction=1.5
 clapd_bad --ready-fd=x
 # Parses, but the service refuses it.
 refused clapd "shards must be a power of two" --shards=3 \
     "$CLAPD" --endpoint="unix:$WORK/d.sock" --quiet
 # Flags that no longer exist.
-for flag in --queue-capacity=8 --max-batch=1 --deterministic; do
+for flag in --queue-capacity=8 --max-batch=1 --deterministic \
+            --max-inflight=256 --shed-fraction=0.5 \
+            --reject-fraction=0.9; do
     refused clapd "unknown flag '$flag'" "$flag" \
         "$CLAPD" --endpoint="unix:$WORK/d.sock" --quiet
 done
@@ -77,7 +76,7 @@ done
 clapr_bad --write-deadline-ms=2s
 clapr_bad --read-deadline-ms=-5
 clapr_bad --shards=4x
-clapr_bad --max-inflight=-1
+clapr_bad --max-connections=-1
 clapr_bad --balance-seed=7x
 clapr_bad --strikes=-1
 clapr_bad --health-interval-ms=1s
@@ -88,6 +87,10 @@ clapr_bad --ready-fd=-1
 refused clapr "bad replica 'foo'" --replica=foo \
     "$CLAPR" --endpoint="unix:$WORK/r.sock" --quiet
 refused clapr "is listed twice" --replica="unix:$WORK/d.sock" \
+    "$CLAPR" --endpoint="unix:$WORK/r.sock" \
+    --replica="unix:$WORK/d.sock" --quiet
+# Flags that no longer exist.
+refused clapr "unknown flag '--max-inflight=256'" --max-inflight=256 \
     "$CLAPR" --endpoint="unix:$WORK/r.sock" \
     --replica="unix:$WORK/d.sock" --quiet
 

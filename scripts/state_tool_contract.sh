@@ -1,15 +1,17 @@
 #!/bin/sh
-# Exit-code contract of `state_tool verify` (examples/state_tool.cpp),
-# the interface the CI chaos-smoke job and any operator script stand
-# on. Exercises the degenerate inputs a crashed snapshot writer can
-# leave behind — a zero-byte file, a header-only file, a truncation
-# mid-section — plus the good-path and error-path codes:
+# Exit-code contract of `state_tool verify` and `inspect`
+# (examples/state_tool.cpp), the interface operator scripts stand on.
+# Exercises the degenerate inputs a crashed snapshot writer can leave
+# behind — a zero-byte file, a header-only file, a truncation
+# mid-section, a file cut short by 100 bytes — plus the good-path and
+# error-path codes:
 #
 #   0  verify/inspect succeed on an intact snapshot
 #   1  usage error
 #   3  input file missing/unreadable
 #   4  corrupt beyond use (zero-byte, header-only strict, truncated
-#      strict, and --salvage runs where nothing was recoverable)
+#      strict or inspected, and --salvage runs where nothing was
+#      recoverable)
 #   5  damaged but intact sections were salvaged
 #
 # Usage: scripts/state_tool_contract.sh /path/to/state_tool
@@ -67,6 +69,14 @@ SIZE=$(wc -c < hybrid.state)
 head -c $((SIZE / 2)) hybrid.state > truncated.state
 expect "verify truncated"    4 "$TOOL" verify truncated.state
 expect "salvage truncated"   5 "$TOOL" verify truncated.state --salvage
+
+# Cut short by 100 bytes: the tear lands in the last section, so
+# inspect and strict verify refuse it; salvage keeps the sections
+# before it.
+head -c $((SIZE - 100)) hybrid.state > short100.state
+expect "inspect short by 100" 4 "$TOOL" inspect short100.state
+expect "verify short by 100"  4 "$TOOL" verify short100.state
+expect "salvage short by 100" 5 "$TOOL" verify short100.state --salvage
 
 expect "missing file"    3 "$TOOL" verify does_not_exist.state
 expect "usage error"     1 "$TOOL" bogus-subcommand

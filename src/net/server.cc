@@ -71,33 +71,14 @@ FrameHandler::obsJson(bool include_timing, std::string_view server_name)
 }
 
 ServiceFrameHandler::ServiceFrameHandler(PredictionService &service,
-                                         ShardSupervisor *supervisor,
-                                         const ServerConfig &config)
-    : service_(service), supervisor_(supervisor), config_(config)
+                                         ShardSupervisor *supervisor)
+    : service_(service), supervisor_(supervisor)
 {
-}
-
-Admission
-ServiceFrameHandler::admissionDecision() const
-{
-    const auto capacity = static_cast<double>(config_.maxInFlight);
-    const auto depth = static_cast<double>(service_.totalQueueDepth());
-    if (depth >= config_.rejectFraction * capacity)
-        return Admission::Reject;
-    if (depth >= config_.shedFraction * capacity)
-        return Admission::Shed;
-    return Admission::Accept;
 }
 
 HandlerReply
 ServiceFrameHandler::handle(const Frame &frame)
 {
-    static obs::Counter &admitAccepted =
-        obs::counter("net.admit.accepted");
-    static obs::Counter &admitShed = obs::counter("net.admit.shed");
-    static obs::Counter &admitRejected =
-        obs::counter("net.admit.rejected");
-
     switch (frame.type) {
       case FrameType::Ping:
         return HandlerReply::make(FrameType::Pong);
@@ -109,22 +90,6 @@ ServiceFrameHandler::handle(const Frame &frame)
                 makeError(ErrorCode::ProtocolError,
                           "malformed Predict payload"));
         }
-        const Admission admission = admissionDecision();
-        if (admission != Admission::Accept) {
-            if (admission == Admission::Shed) {
-                admitShed_.fetch_add(1, std::memory_order_relaxed);
-                admitShed.add();
-            } else {
-                admitRejected_.fetch_add(1, std::memory_order_relaxed);
-                admitRejected.add();
-            }
-            return HandlerReply::fail(
-                makeError(ErrorCode::Overloaded,
-                          admission == Admission::Shed
-                              ? "gateway shedding predicts"
-                              : "gateway rejecting requests"));
-        }
-        admitAccepted.add();
         auto pred = service_.predict(info);
         if (!pred)
             return HandlerReply::fail(pred.error());
@@ -142,16 +107,6 @@ ServiceFrameHandler::handle(const Frame &frame)
                 makeError(ErrorCode::ProtocolError,
                           "malformed Train payload"));
         }
-        // Shed mode still trains: a dropped train silently forks the
-        // predictor state; only full Reject refuses it.
-        if (admissionDecision() == Admission::Reject) {
-            admitRejected_.fetch_add(1, std::memory_order_relaxed);
-            admitRejected.add();
-            return HandlerReply::fail(
-                makeError(ErrorCode::Overloaded,
-                          "gateway rejecting requests"));
-        }
-        admitAccepted.add();
         auto trained = service_.train(info, actual, pred);
         if (!trained)
             return HandlerReply::fail(trained.error());
@@ -165,9 +120,6 @@ ServiceFrameHandler::handle(const Frame &frame)
             ShardWireStats shard;
             shard.predicts = snap.predicts;
             shard.trains = snap.trains;
-            // rejected has no source and goes out as 0: the service
-            // never refuses a request for load (admission does, and
-            // counts it); the slot keeps the StatsOk layout.
             shard.unavailable = snap.unavailable;
             shard.queueDepth = snap.queueDepth;
             shard.quarantined = snap.quarantined ? 1 : 0;
@@ -275,8 +227,8 @@ NetServer::NetServer(PredictionService &service,
                      const ServerConfig &config)
     : handler_(nullptr), config_(config)
 {
-    ownedHandler_ = std::make_unique<ServiceFrameHandler>(
-        service, supervisor, config);
+    ownedHandler_ =
+        std::make_unique<ServiceFrameHandler>(service, supervisor);
     handler_ = ownedHandler_.get();
 }
 
@@ -339,23 +291,10 @@ NetServer::counters() const
     out.accepted = accepted_.load(std::memory_order_relaxed);
     out.turnedAway = turnedAway_.load(std::memory_order_relaxed);
     out.requests = requests_.load(std::memory_order_relaxed);
-    if (ownedHandler_) {
-        out.admitShed = ownedHandler_->shedCount();
-        out.admitRejected = ownedHandler_->rejectedCount();
-    }
-    out.inflightRejected =
-        inflightRejected_.load(std::memory_order_relaxed);
     out.corruptFrames = corruptFrames_.load(std::memory_order_relaxed);
     out.deadlineDrops = deadlineDrops_.load(std::memory_order_relaxed);
     out.errorReplies = errorReplies_.load(std::memory_order_relaxed);
     return out;
-}
-
-Admission
-NetServer::admissionDecision() const
-{
-    return ownedHandler_ ? ownedHandler_->admissionDecision()
-                         : Admission::Accept;
 }
 
 void
@@ -583,16 +522,6 @@ NetServer::handleFrame(Stream &stream, const Frame &frame,
 
       default: {
         const std::uint64_t enteredNs = obs::stageNowNs();
-        const unsigned inflight =
-            inFlight_.fetch_add(1, std::memory_order_acq_rel);
-        if (inflight >= config_.maxInFlight) {
-            inFlight_.fetch_sub(1, std::memory_order_acq_rel);
-            inflightRejected_.fetch_add(1, std::memory_order_relaxed);
-            return sendError(stream, frame.id,
-                             makeError(ErrorCode::Overloaded,
-                                       "gateway in-flight budget "
-                                       "exhausted"));
-        }
         // Adopt the frame's trace context for the handler call: spans
         // recorded below it (serve stages, replica fan-out clients)
         // chain under the sender's span, and a sampled context gets a
@@ -610,7 +539,6 @@ NetServer::handleFrame(Stream &stream, const Frame &frame,
         const std::uint64_t handleStartNs = obs::stageNowNs();
         const HandlerReply reply = handler_->handle(frame);
         const std::uint64_t handleEndNs = obs::stageNowNs();
-        inFlight_.fetch_sub(1, std::memory_order_acq_rel);
         bool sent;
         if (reply.isError)
             sent = sendError(stream, frame.id, reply.error);

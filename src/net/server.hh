@@ -4,26 +4,15 @@
  * (net/socket.hh), speaks the CRC-framed wire protocol (net/wire.hh),
  * and assumes failure as the common case — every connection has read
  * and write deadlines (a stalled or dead peer costs one deadline,
- * never a wedged thread), connection and in-flight budgets are
- * bounded, and corrupt frames drop the connection with a best-effort
- * GoAway instead of ever reaching the predictor.
+ * never a wedged thread), and corrupt frames drop the connection with
+ * a best-effort GoAway instead of ever reaching the predictor.
  *
- * Admission control maps the service's live load — the callers
- * running on or waiting for its shards, the same signal `src/obs/`
- * exports as serve.queue_depth — onto three decisions, as fractions
- * of the in-flight budget (ServerConfig::maxInFlight):
- *
- *   Accept  depth <  shedFraction   · maxInFlight   serve everything
- *   Shed    depth >= shedFraction   · maxInFlight   predicts fail
- *           Overloaded (a skipped *speculation* is harmless and the
- *           error is retryable); trains still apply, because a
- *           silently dropped train would fork the predictor state
- *           away from every replica's
- *   Reject  depth >= rejectFraction · maxInFlight   everything fails
- *           Overloaded; the service is protected above all
- *
- * Decisions are counted in the metrics registry (net.admit.*) so a
- * shedding gateway is visible in `obs_tool stats`-style output.
+ * The connection budget (ServerConfig::maxConnections) is the one
+ * load bound: a connection over it is greeted with a GoAway carrying
+ * Overloaded and closed before any request is read. A connection
+ * thread runs one request to completion before it reads the next, so
+ * the budget also bounds the requests in flight and, behind clapd,
+ * the callers on any shard.
  *
  * Threading: one acceptor thread plus one thread per connection
  * (connections are bounded and cheap relative to predictor shards;
@@ -62,13 +51,11 @@ struct ServerConfig
     /// Name sent in HelloOk frames (clapd, clapr, ...).
     std::string serverName = "clapd";
 
-    /// Concurrent connections; one over budget is greeted with GoAway
-    /// and closed before any request is read.
+    /// Concurrent connections; one over budget is greeted with a
+    /// GoAway carrying Overloaded and closed before any request is
+    /// read. Each connection runs one request at a time, so this also
+    /// bounds the requests in flight.
     unsigned maxConnections = 32;
-
-    /// Requests being processed across all connections; one over
-    /// budget fails Overloaded (retryable) without touching a shard.
-    unsigned maxInFlight = 256;
 
     /// A connection mid-frame for longer than this is dropped
     /// (slow-sender protection); idle connections are not affected.
@@ -80,11 +67,6 @@ struct ServerConfig
     /// Must be >= 1.
     int writeDeadlineMs = 2000;
 
-    /// Admission thresholds as fractions of maxInFlight, compared with
-    /// the service's callers (PredictionService::totalQueueDepth()).
-    double shedFraction = 0.75;
-    double rejectFraction = 0.95;
-
     /** Structural sanity checks; call before building a server. */
     Expected<void>
     validate() const
@@ -95,30 +77,12 @@ struct ServerConfig
         if (maxConnections == 0)
             return makeError(ErrorCode::InvalidConfig,
                              "ServerConfig: maxConnections must be >= 1");
-        if (maxInFlight == 0)
-            return makeError(ErrorCode::InvalidConfig,
-                             "ServerConfig: maxInFlight must be >= 1");
         if (readDeadlineMs < 1 || writeDeadlineMs < 1)
             return makeError(ErrorCode::InvalidConfig,
                              "ServerConfig: readDeadlineMs and "
                              "writeDeadlineMs must be >= 1");
-        if (!(shedFraction > 0.0) || !(rejectFraction >= shedFraction) ||
-            !(rejectFraction <= 1.0)) {
-            return makeError(
-                ErrorCode::InvalidConfig,
-                "ServerConfig: need 0 < shedFraction <= rejectFraction "
-                "<= 1");
-        }
         return ok();
     }
-};
-
-/** What admission control decided for one request. */
-enum class Admission : std::uint8_t
-{
-    Accept,
-    Shed,
-    Reject,
 };
 
 /** Cumulative gateway counters (atomic; readable while serving). */
@@ -127,9 +91,6 @@ struct ServerCounters
     std::uint64_t accepted = 0;      ///< connections accepted
     std::uint64_t turnedAway = 0;    ///< connections over budget
     std::uint64_t requests = 0;      ///< request frames served
-    std::uint64_t admitShed = 0;     ///< predicts shed by admission
-    std::uint64_t admitRejected = 0; ///< requests rejected by admission
-    std::uint64_t inflightRejected = 0; ///< over the in-flight budget
     std::uint64_t corruptFrames = 0; ///< connections dropped on Corrupt
     std::uint64_t deadlineDrops = 0; ///< connections dropped on stall
     std::uint64_t errorReplies = 0;  ///< ErrorReply frames sent
@@ -172,7 +133,7 @@ struct HandlerReply
 /**
  * What NetServer's transport layer delegates request frames to. The
  * transport owns everything failure-shaped about the byte stream —
- * accept budgets, deadlines, CRC poisoning, GoAway, the Hello
+ * the connection budget, deadlines, CRC poisoning, GoAway, the Hello
  * handshake, Shutdown — and hands every other request frame here.
  * Implementations: ServiceFrameHandler (one local PredictionService,
  * the clapd shape) and replica::ReplicaGateway (N remote replicas,
@@ -199,8 +160,7 @@ class FrameHandler
 };
 
 /**
- * The classic clapd request handler: one local PredictionService
- * behind load-based admission control (see the file comment).
+ * The classic clapd request handler: one local PredictionService.
  * @p supervisor may be null; when present its stats ride along in
  * StatsOk frames.
  */
@@ -208,8 +168,7 @@ class ServiceFrameHandler : public FrameHandler
 {
   public:
     ServiceFrameHandler(PredictionService &service,
-                        ShardSupervisor *supervisor,
-                        const ServerConfig &config);
+                        ShardSupervisor *supervisor);
 
     HandlerReply handle(const Frame &frame) override;
 
@@ -217,26 +176,9 @@ class ServiceFrameHandler : public FrameHandler
     std::string obsJson(bool include_timing,
                         std::string_view server_name) override;
 
-    /** The admission decision the handler would make right now. */
-    Admission admissionDecision() const;
-
-    std::uint64_t
-    shedCount() const
-    {
-        return admitShed_.load(std::memory_order_relaxed);
-    }
-    std::uint64_t
-    rejectedCount() const
-    {
-        return admitRejected_.load(std::memory_order_relaxed);
-    }
-
   private:
     PredictionService &service_;
     ShardSupervisor *supervisor_;
-    ServerConfig config_;
-    std::atomic<std::uint64_t> admitShed_{0};
-    std::atomic<std::uint64_t> admitRejected_{0};
 };
 
 class NetServer
@@ -279,10 +221,6 @@ class NetServer
 
     ServerCounters counters() const;
 
-    /** The admission decision the gateway would make right now
-     *  (Accept unless a service-backed handler says otherwise). */
-    Admission admissionDecision() const;
-
   private:
     struct Connection
     {
@@ -304,15 +242,13 @@ class NetServer
     void reapFinished();
 
     FrameHandler *handler_;
-    /// Set by the PredictionService convenience constructor; also the
-    /// source of the admission counters merged into counters().
+    /// Set by the PredictionService convenience constructor.
     std::unique_ptr<ServiceFrameHandler> ownedHandler_;
     ServerConfig config_;
     Listener listener_;
     std::thread acceptor_;
     std::atomic<bool> stopping_{false};
     std::atomic<bool> shutdownRequested_{false};
-    std::atomic<unsigned> inFlight_{0};
 
     std::mutex connMutex_;
     std::vector<std::unique_ptr<Connection>> connections_;
@@ -322,7 +258,6 @@ class NetServer
     std::atomic<std::uint64_t> accepted_{0};
     std::atomic<std::uint64_t> turnedAway_{0};
     std::atomic<std::uint64_t> requests_{0};
-    std::atomic<std::uint64_t> inflightRejected_{0};
     std::atomic<std::uint64_t> corruptFrames_{0};
     std::atomic<std::uint64_t> deadlineDrops_{0};
     std::atomic<std::uint64_t> errorReplies_{0};

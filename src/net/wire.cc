@@ -133,7 +133,7 @@ getString(std::string_view in, std::size_t &pos, std::string &s)
 std::string
 encodeFrame(const Frame &frame)
 {
-    // Only frames carrying a trace context pay the v3 prefix.
+    // Only frames carrying a trace context pay the prefix.
     const bool traced = frame.trace.valid();
     std::string body;
     if (traced) {
@@ -237,7 +237,7 @@ FrameReader::next(Frame &out, Error &error)
     if (traced && length < traceContextBytes) {
         poisoned_ = true;
         error = makeError(ErrorCode::BadHeader,
-                          "v3 frame too short for trace context");
+                          "traced frame too short for trace context");
         return Status::Corrupt;
     }
 
@@ -271,7 +271,7 @@ FrameReader::next(Frame &out, Error &error)
         if (!out.trace.valid()) {
             poisoned_ = true;
             error = makeError(ErrorCode::BadHeader,
-                              "v3 frame with null trace id");
+                              "traced frame with null trace id");
             return Status::Corrupt;
         }
         out.payload.assign(payload.data() + traceContextBytes,
@@ -533,7 +533,6 @@ encodeServiceStats(const ServiceWireStats &stats)
     for (const auto &shard : stats.shards) {
         putU64(out, shard.predicts);
         putU64(out, shard.trains);
-        putU64(out, shard.rejected);
         putU64(out, shard.unavailable);
         putU64(out, shard.queueDepth);
         putU8(out, shard.quarantined);
@@ -559,9 +558,9 @@ decodeServiceStats(std::string_view payload, ServiceWireStats &stats)
     std::uint32_t shards = 0;
     if (!getU32(payload, pos, shards))
         return false;
-    // 41 bytes of counters + 160 bytes of PredictionStats per shard
+    // 33 bytes of counters + 160 bytes of PredictionStats per shard
     // entry; bound before reserving.
-    if (shards > payload.size() / 201 + 1)
+    if (shards > payload.size() / 193 + 1)
         return false;
     stats.shards.clear();
     stats.shards.reserve(shards);
@@ -569,7 +568,6 @@ decodeServiceStats(std::string_view payload, ServiceWireStats &stats)
         ShardWireStats shard;
         if (!getU64(payload, pos, shard.predicts) ||
             !getU64(payload, pos, shard.trains) ||
-            !getU64(payload, pos, shard.rejected) ||
             !getU64(payload, pos, shard.unavailable) ||
             !getU64(payload, pos, shard.queueDepth) ||
             !getU8(payload, pos, shard.quarantined) ||

@@ -10,7 +10,7 @@
  * Frame layout (little-endian):
  *
  *   magic    u32   "CLNP"
- *   version  u16   2 (plain) or 3 (trace-context-prefixed)
+ *   version  u16   2 (plain) or 4 = wireVersion (trace-context-prefixed)
  *   type     u16   FrameType
  *   id       u64   request id (echoed by the matching response)
  *   length   u32   payload bytes (<= maxFramePayload)
@@ -20,10 +20,10 @@
  *
  * The header version marks the payload shape of that one frame: a
  * frame that carries a distributed trace context (DESIGN.md §9) is
- * encoded at version 3, whose payload starts with a fixed 17-byte
+ * encoded at wireVersion, whose payload starts with a fixed 17-byte
  * prefix —
  *
- *   traceId       u64   0 is invalid (v3 frames always carry a trace)
+ *   traceId       u64   0 is invalid (traced frames always carry one)
  *   parentSpanId  u64   the sender's span, parent of the receiver's
  *   flags         u8    bit 0: sampled
  *
@@ -71,8 +71,9 @@ constexpr std::uint32_t wireMagic = 0x504e4c43u;
  *  per-shard PredictionStats to StatsOk (replica divergence audits)
  *  and split the error payload into message + context chain. v3 added
  *  the per-frame trace-context prefix, the ObsFetch/ObsOk scrape
- *  frames, and the clock epoch in HelloOk. */
-constexpr std::uint16_t wireVersion = 3;
+ *  frames, and the clock epoch in HelloOk. v4 dropped StatsOk's
+ *  per-shard `rejected` slot, which no server ever filled. */
+constexpr std::uint16_t wireVersion = 4;
 
 /** Header version of a frame without the trace-context prefix. */
 constexpr std::uint16_t plainFrameVersion = 2;
@@ -83,7 +84,7 @@ constexpr std::size_t frameHeaderBytes = 24;
 /** Trailing payload-CRC bytes. */
 constexpr std::size_t frameTrailerBytes = 4;
 
-/** Bytes of the v3 trace-context payload prefix. */
+/** Bytes of the trace-context payload prefix. */
 constexpr std::size_t traceContextBytes = 17;
 
 /** Header sanity bound on the payload length. Large enough for a
@@ -121,8 +122,8 @@ enum class FrameType : std::uint16_t
 /** Printable name of a FrameType (diagnostics, chaos logs). */
 const char *frameTypeName(FrameType type);
 
-/** One decoded frame. A valid() trace marks a v3 frame; the prefix is
- *  stripped from payload on decode and prepended on encode. */
+/** One decoded frame. A valid() trace marks a traced frame; the prefix
+ *  is stripped from payload on decode and prepended on encode. */
 struct Frame
 {
     FrameType type = FrameType::Ping;
@@ -260,8 +261,6 @@ struct ShardWireStats
 {
     std::uint64_t predicts = 0;
     std::uint64_t trains = 0;
-    std::uint64_t rejected = 0;   ///< always 0 (layout slot; admission
-                                  ///< counts refusals, not the shard)
     std::uint64_t unavailable = 0;
     std::uint64_t queueDepth = 0; ///< callers running or waiting
     std::uint8_t quarantined = 0;

@@ -21,8 +21,8 @@ namespace
 {
 
 /** Transport-class failures earn the replica a liveness strike; a
- *  structured server refusal (Overloaded, quarantined shard) does
- *  not — the process is alive and answering. */
+ *  structured server refusal (a quarantined shard) does not — the
+ *  process is alive and answering. */
 bool
 isTransportClass(ErrorCode code)
 {

@@ -77,8 +77,8 @@ struct PredictionService::Request
  */
 struct PredictionService::Shard
 {
-    /// Callers running on or waiting for this shard (admission load
-    /// signal; read without the lock).
+    /// Callers running on or waiting for this shard (queueDepth();
+    /// read without the lock).
     std::atomic<std::size_t> callers{0};
 
     /// @name Lifecycle flags (checked lock-free on the request path)
@@ -308,15 +308,6 @@ std::size_t
 PredictionService::queueDepth(unsigned shard_index) const
 {
     return shards_[shard_index]->callers.load();
-}
-
-std::size_t
-PredictionService::totalQueueDepth() const
-{
-    std::size_t depth = 0;
-    for (const auto &shard : shards_)
-        depth += shard->callers.load();
-    return depth;
 }
 
 PredictionStats

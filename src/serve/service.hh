@@ -12,9 +12,8 @@
  * caller's own thread: predict() and train() take the shard's mutex
  * and apply the request under it, so a train has been applied when it
  * returns. The service starts no thread. Backpressure is the caller's
- * own thread waiting for the shard lock; the number of callers running
- * on or waiting for each shard is the load signal the network
- * gateway's admission control reads (queueDepth()).
+ * own thread waiting for the shard lock; queueDepth() counts the
+ * callers running on or waiting for each shard.
  *
  * Every request is one batch: after every auditEveryBatches-th request
  * on a shard, the structural invariant auditor (core/audit.hh) runs
@@ -195,14 +194,6 @@ class PredictionService
 
     /** Callers running on or waiting for one shard right now. */
     std::size_t queueDepth(unsigned shard_index) const;
-
-    /**
-     * queueDepth() summed over the shards — the load signal the
-     * network gateway's admission control maps to Accept/Shed/Reject.
-     * One atomic load per shard and no lock, so it can run
-     * per-request.
-     */
-    std::size_t totalQueueDepth() const;
 
     /** Per-shard monitoring snapshot, in shard order. */
     std::vector<ShardSnapshot> snapshot() const;

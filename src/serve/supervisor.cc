@@ -132,17 +132,12 @@ ShardSupervisor::recoverShard(unsigned shard_index)
                 service_.restoreShardState(shard_index, *bytes);
             restored) {
             outcome = Outcome::Strict;
-        } else if (config_.salvageRestores) {
-            failure = std::move(restored.error());
-            if (auto salvaged = service_.restoreShardState(
-                    shard_index, *bytes, /*salvage=*/true);
-                salvaged) {
-                outcome = Outcome::Salvaged;
-            } else {
-                failure = std::move(salvaged.error());
-            }
+        } else if (auto salvaged = service_.restoreShardState(
+                       shard_index, *bytes, /*salvage=*/true);
+                   salvaged) {
+            outcome = Outcome::Salvaged;
         } else {
-            failure = std::move(restored.error());
+            failure = std::move(salvaged.error());
         }
     } else {
         failure = std::move(bytes.error());
@@ -164,14 +159,11 @@ ShardSupervisor::recoverShard(unsigned shard_index)
 
     service_.rejoinShard(shard_index);
 
-    if (config_.snapshotAfterRecovery) {
-        // Advance the on-disk snapshot (and with it the journal
-        // epoch) to the recovered state, so the next failure replays
-        // a short window. Best-effort: a failure is counted in
-        // snapshotFailures and the old snapshot + full journal still
-        // recover exactly.
-        (void)snapshotShard(shard_index);
-    }
+    // Advance the on-disk snapshot (and with it the journal epoch) to
+    // the recovered state, so the next failure replays a short
+    // window. Best-effort: a failure is counted in snapshotFailures
+    // and the old snapshot + full journal still recover exactly.
+    (void)snapshotShard(shard_index);
 
     const auto elapsed =
         std::chrono::duration_cast<std::chrono::milliseconds>(

@@ -59,18 +59,10 @@ struct SupervisorConfig
     /// manual mode: the owner calls snapshotAll()/checkAndRecover().
     unsigned snapshotIntervalMs = 0;
 
-    /// Attempt a salvage restore (intact sections only) when the
-    /// strict restore of a snapshot fails.
-    bool salvageRestores = true;
-
     /// Fall back to a fresh factory predictor when no snapshot
     /// restores at all; disabling leaves the shard quarantined and
     /// reports the recovery as failed.
     bool freshRestartFallback = true;
-
-    /// Write a new snapshot immediately after a successful recovery,
-    /// so the next failure restores to the post-recovery state.
-    bool snapshotAfterRecovery = true;
 
     /** Structural sanity checks; call before building a supervisor. */
     Expected<void>

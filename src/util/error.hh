@@ -41,7 +41,7 @@ enum class ErrorCode : std::uint8_t
     InvalidArgument,///< caller-supplied argument out of range
     Timeout,        ///< job exceeded its wall-clock budget (watchdog)
     CorruptedState, ///< structural invariant violated (audit failure)
-    Overloaded,     ///< gateway admission or in-flight budget refused
+    Overloaded,     ///< gateway connection budget exhausted
     ShardUnavailable,///< shard quarantined while recovery is in flight
     Shutdown,       ///< service stopped before the request ran
     ProtocolError,  ///< wire frame malformed, unexpected, or corrupt

@@ -2,20 +2,18 @@
  * @file
  * Tests for the network gateway (src/net/): endpoint parsing, socket
  * deadlines, server/client round trips over UDS and TCP, corrupt
- * frames answered with GoAway, admission control under a wedged
- * shard, client retry policy (idempotent requests retried, trains
- * never), snapshot fetch/install across services, and determinism of
- * the seeded chaos schedule.
+ * frames answered with GoAway, the connection budget, client retry
+ * policy (idempotent requests retried, trains never), snapshot
+ * fetch/install across services, and determinism of the seeded chaos
+ * schedule.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -451,9 +449,10 @@ TEST(NetServerClient, HelloVersionMismatchIsARefusedHandshake)
     auto parsed = parseEndpoint(endpoint);
     ASSERT_TRUE(parsed);
 
-    // Well-formed Hellos claiming a future version and the retired
-    // v2: the server speaks exactly wireVersion and refuses both.
-    const std::uint16_t refused[] = {wireVersion + 7, 2};
+    // Well-formed Hellos claiming a future version and the retired v2
+    // and v3 (v3's StatsOk still carried a per-shard rejected slot):
+    // the server speaks exactly wireVersion and refuses them all.
+    const std::uint16_t refused[] = {wireVersion + 7, 2, 3};
     for (const std::uint16_t version : refused) {
         auto raw = connectEndpoint(*parsed, 1000);
         ASSERT_TRUE(raw);
@@ -475,6 +474,60 @@ TEST(NetServerClient, HelloVersionMismatchIsARefusedHandshake)
         ASSERT_TRUE(decodeErrorPayload(reply->payload, remote));
         EXPECT_EQ(remote.code(), ErrorCode::BadVersion) << version;
     }
+}
+
+TEST(NetServerClient, ConnectionBudgetTurnsAwayTheNextConnection)
+{
+    const std::string endpoint = udsEndpoint("budget");
+    PredictionService service(TestGateway::makeConfig(2),
+                              testHybridFactory());
+    ServerConfig server_config = TestGateway::makeServerConfig(endpoint);
+    server_config.maxConnections = 2;
+    NetServer server(service, nullptr, server_config);
+    ASSERT_TRUE(server.start());
+
+    ClientConfig config;
+    config.endpoint = endpoint;
+    NetClient first(config);
+    NetClient second(config);
+    ASSERT_TRUE(first.ping());
+    ASSERT_TRUE(second.ping());
+
+    // A third connection is over the budget: it is greeted with a
+    // GoAway carrying Overloaded and closed before any request is
+    // read.
+    auto parsed = parseEndpoint(endpoint);
+    ASSERT_TRUE(parsed);
+    auto raw = connectEndpoint(*parsed, 1000);
+    ASSERT_TRUE(raw);
+    auto goaway = readFrame(**raw, 2000);
+    ASSERT_TRUE(goaway) << goaway.error().str();
+    EXPECT_EQ(goaway->type, FrameType::GoAway);
+    Error reason;
+    ASSERT_TRUE(decodeErrorPayload(goaway->payload, reason));
+    EXPECT_EQ(reason.code(), ErrorCode::Overloaded);
+    char byte;
+    auto eof = (*raw)->recvSome(&byte, 1, 2000);
+    ASSERT_TRUE(eof) << eof.error().str();
+    EXPECT_EQ(*eof, 0u);
+    EXPECT_EQ(server.counters().turnedAway, 1u);
+    EXPECT_EQ(server.counters().accepted, 2u);
+
+    // Once a client leaves, its slot serves a newcomer. The server
+    // frees the slot when that connection's thread sees the EOF, so
+    // the newcomer may still be turned away first; its connect
+    // retries (with backoff) cover that.
+    first.disconnect();
+    ClientConfig patient = config;
+    patient.maxAttempts = 50;
+    NetClient third(patient);
+    const auto pong = third.ping();
+    ASSERT_TRUE(pong) << pong.error().str();
+    EXPECT_TRUE(second.ping());
+    EXPECT_EQ(server.counters().accepted, 3u);
+
+    server.stop();
+    service.stop();
 }
 
 // --- Client retry policy ------------------------------------------
@@ -607,165 +660,6 @@ TEST(NetClientRetry, AwaitAfterTheConnectionDroppedIsAnUnknownOutcome)
     EXPECT_EQ(client.counters().trainsOk, 0u);
     EXPECT_EQ(client.counters().transportErrors, 2u);
     EXPECT_EQ(client.counters().wrongReplies, 0u);
-}
-
-// --- Admission control --------------------------------------------
-
-/// Predictor stub whose predict() blocks until released (same idiom
-/// as test_serve.cc): wedges a shard, holding its lock, so callers
-/// stack up behind it.
-class BlockingPredictor : public AddressPredictor
-{
-  public:
-    Prediction
-    predict(const LoadInfo &) override
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        entered_ = true;
-        ready_.notify_all();
-        ready_.wait(lock, [this] { return released_; });
-        return Prediction{};
-    }
-
-    void
-    update(const LoadInfo &, std::uint64_t, const Prediction &) override
-    {
-    }
-
-    std::string name() const override { return "blocking-stub"; }
-
-    void
-    release()
-    {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            released_ = true;
-        }
-        ready_.notify_all();
-    }
-
-    void
-    awaitEntered()
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        ready_.wait(lock, [this] { return entered_; });
-    }
-
-  private:
-    std::mutex mutex_;
-    std::condition_variable ready_;
-    bool entered_ = false;
-    bool released_ = false;
-};
-
-TEST(NetAdmission, ShedFailsPredictsButStillTrains)
-{
-    auto blocking = std::make_shared<BlockingPredictor>();
-
-    ServiceConfig service_config;
-    service_config.shards = 1;
-    service_config.auditEveryBatches = 0;
-    PredictionService service(
-        service_config,
-        [blocking]() -> std::unique_ptr<AddressPredictor> {
-            struct Shim : AddressPredictor
-            {
-                explicit Shim(std::shared_ptr<BlockingPredictor> inner)
-                    : inner(std::move(inner))
-                {
-                }
-                Prediction
-                predict(const LoadInfo &info) override
-                {
-                    return inner->predict(info);
-                }
-                void
-                update(const LoadInfo &info, std::uint64_t addr,
-                       const Prediction &pred) override
-                {
-                    inner->update(info, addr, pred);
-                }
-                std::string name() const override { return inner->name(); }
-                std::shared_ptr<BlockingPredictor> inner;
-            };
-            return std::make_unique<Shim>(blocking);
-        });
-
-    const std::string endpoint = udsEndpoint("admission");
-    ServerConfig server_config;
-    server_config.endpoint = endpoint;
-    // In-flight budget is 8: shed once 4 callers run on or wait for
-    // the shard (the wedged predict and three behind it), reject at 6.
-    server_config.maxInFlight = 8;
-    server_config.shedFraction = 0.5;
-    server_config.rejectFraction = 0.75;
-    NetServer server(service, nullptr, server_config);
-    ASSERT_TRUE(server.start());
-    EXPECT_EQ(server.admissionDecision(), Admission::Accept);
-
-    // Wedge the shard through the wire, then stack three more predicts
-    // behind it, waiting for its lock, so the load crosses the shed
-    // line.
-    auto asyncPredict = [&endpoint]() {
-        ClientConfig config;
-        config.endpoint = endpoint;
-        config.requestDeadlineMs = 20000;
-        config.maxAttempts = 1;
-        NetClient client(config);
-        auto pred = client.predict(client.makeInfo(0x1000, 0));
-        EXPECT_TRUE(pred);
-    };
-    std::vector<std::thread> waiters;
-    waiters.emplace_back(asyncPredict);
-    blocking->awaitEntered();
-    for (int i = 0; i < 3; ++i)
-        waiters.emplace_back(asyncPredict);
-
-    const auto until = std::chrono::steady_clock::now() +
-                       std::chrono::seconds(10);
-    while (server.admissionDecision() != Admission::Shed &&
-           std::chrono::steady_clock::now() < until)
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    ASSERT_EQ(server.admissionDecision(), Admission::Shed);
-
-    // A shed gateway fails predicts with a retryable Overloaded...
-    ClientConfig probe_config;
-    probe_config.endpoint = endpoint;
-    probe_config.requestDeadlineMs = 20000;
-    probe_config.maxAttempts = 1;
-    NetClient probe(probe_config);
-    auto shed = probe.predict(probe.makeInfo(0x2000, 0));
-    ASSERT_FALSE(shed);
-    EXPECT_EQ(shed.error().code(), ErrorCode::Overloaded);
-    EXPECT_TRUE(isRetryable(shed.error().code()));
-    EXPECT_EQ(probe.counters().errorReplies, 1u);
-
-    // ...but still applies trains: dropping one silently would fork
-    // this replica's predictor state away from its peers'. The train
-    // runs behind the wedge, so it is sent from its own thread and
-    // completes once the shard is released.
-    Expected<void> trained = ok();
-    std::thread trainer([&probe, &trained] {
-        Prediction dummy;
-        trained = probe.train(probe.makeInfo(0x2000, 0), 0x3000, dummy);
-    });
-    const auto queued = std::chrono::steady_clock::now() +
-                        std::chrono::seconds(10);
-    while (service.queueDepth(0) < 5 &&
-           std::chrono::steady_clock::now() < queued)
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    EXPECT_EQ(service.queueDepth(0), 5u); // the train waits too
-
-    blocking->release();
-    trainer.join();
-    EXPECT_TRUE(trained) << trained.error().str();
-    for (auto &waiter : waiters)
-        waiter.join();
-    EXPECT_GE(server.counters().admitShed, 1u);
-    EXPECT_EQ(service.snapshot()[0].trains, 1u);
-
-    server.stop();
-    service.stop();
 }
 
 // --- Snapshot migration over the wire -----------------------------
@@ -928,9 +822,9 @@ TEST(NetVersion, SampledAmbientContextRidesTheRequest)
     NetClient client(config);
     ASSERT_TRUE(client.ping());
 
-    // A sampled ambient context makes the client emit v3 frames; the
-    // server adopts the context around the handler. The request must
-    // round-trip exactly as an untraced one does.
+    // A sampled ambient context makes the client emit traced frames;
+    // the server adopts the context around the handler. The request
+    // must round-trip exactly as an untraced one does.
     obs::TraceContext ctx;
     ctx.traceId = obs::traceIdFromSeed(42);
     ctx.spanId = obs::newSpanId();
@@ -955,7 +849,15 @@ TEST(NetStage, StageDecompositionConservesExactly)
     ClientConfig config;
     config.endpoint = endpoint;
     NetClient client(config);
-    ASSERT_TRUE(client.ping()); // connect + handshake before the reset
+    // Connect + handshake before the reset. The ping's own stage record
+    // lands after its Pong is sent, so wait for it: a reset that races
+    // it would leave a 33rd record, or half of one.
+    auto &total_ns = obs::histogram("net.stage.total_ns");
+    const std::uint64_t before = total_ns.snapshot().count;
+    ASSERT_TRUE(client.ping());
+    for (int spin = 0; spin < 2000 && total_ns.snapshot().count == before;
+         ++spin)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
 
     obs::resetMetricsForTest();
     constexpr std::uint64_t kRequests = 32;

@@ -324,10 +324,9 @@ class TrainHold
 class ReplicaHandler : public net::FrameHandler
 {
   public:
-    ReplicaHandler(PredictionService &service,
-                   const net::ServerConfig &config, TrainHold *hold,
+    ReplicaHandler(PredictionService &service, TrainHold *hold,
                    unsigned replica)
-        : inner_(service, nullptr, config), hold_(hold), replica_(replica)
+        : inner_(service, nullptr), hold_(hold), replica_(replica)
     {
     }
 
@@ -353,7 +352,7 @@ struct InProcReplica
     InProcReplica(const std::string &endpoint, TrainHold *hold,
                   unsigned replica)
         : service(makeConfig(), testHybridFactory()),
-          handler(service, makeServerConfig(endpoint), hold, replica),
+          handler(service, hold, replica),
           server(handler, makeServerConfig(endpoint))
     {
         auto started = server.start();

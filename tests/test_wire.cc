@@ -571,7 +571,6 @@ TEST(WireCodec, ServiceStatsRoundTripBitForBit)
         ShardWireStats shard;
         shard.predicts = 100 + i;
         shard.trains = 200 + i;
-        shard.rejected = i;
         shard.unavailable = 3 * i;
         shard.queueDepth = 7 + i;
         shard.quarantined = i == 1 ? 1 : 0;
@@ -600,7 +599,6 @@ TEST(WireCodec, ServiceStatsRoundTripBitForBit)
     for (std::size_t i = 0; i < 3; ++i) {
         EXPECT_EQ(out.shards[i].predicts, stats.shards[i].predicts);
         EXPECT_EQ(out.shards[i].trains, stats.shards[i].trains);
-        EXPECT_EQ(out.shards[i].rejected, stats.shards[i].rejected);
         EXPECT_EQ(out.shards[i].unavailable,
                   stats.shards[i].unavailable);
         EXPECT_EQ(out.shards[i].queueDepth, stats.shards[i].queueDepth);
@@ -697,7 +695,7 @@ TEST(WireCodec, ObsFetchRoundTripsTimingFlag)
     EXPECT_FALSE(decodeObsFetch("", include_timing));
 }
 
-// --- Trace-context framing (wire v3) ------------------------------
+// --- Trace-context framing ----------------------------------------
 
 TEST(WireTrace, UntracedFrameStaysByteIdenticalToV2)
 {
@@ -750,10 +748,10 @@ TEST(WireTrace, TracedFrameRoundTripsContextAndStripsPrefix)
 
 TEST(WireTrace, MixedStreamSurvivesAdversarialSegmentation)
 {
-    // v2 and v3 frames interleaved on one stream, reassembled through
-    // every chunking the plain segmentation suite uses: the 17-byte
-    // prefix must never be confused with payload no matter where the
-    // chunk boundaries fall.
+    // Plain and traced frames interleaved on one stream, reassembled
+    // through every chunking the plain segmentation suite uses: the
+    // 17-byte prefix must never be confused with payload no matter
+    // where the chunk boundaries fall.
     auto [frames, wire] = segmentationStream();
     Frame traced = sampleFrame();
     traced.id = 10;
@@ -788,8 +786,8 @@ TEST(WireTrace, MixedStreamSurvivesAdversarialSegmentation)
 
 TEST(WireTrace, V3FrameTooShortForContextIsCorrupt)
 {
-    // A v3 frame whose length cannot even hold the trace prefix must
-    // be refused at the header check, before the payload is read.
+    // A traced frame whose length cannot even hold the trace prefix
+    // must be refused at the header check, before the payload is read.
     std::string wire = encodeFrame(sampleFrame());
     wire[4] = static_cast<char>(wireVersion);
     Crc32 crc;
@@ -822,8 +820,8 @@ TEST(WireTrace, V3FrameTooShortForContextIsCorrupt)
 
 TEST(WireTrace, V3FrameWithNullTraceIdIsCorrupt)
 {
-    // traceId 0 means "no trace"; a v3 frame claiming one is either a
-    // buggy or forged peer and must poison the stream.
+    // traceId 0 means "no trace"; a traced frame claiming one is
+    // either a buggy or forged peer and must poison the stream.
     Frame frame = sampleFrame();
     frame.trace.traceId = 0x1234;
     frame.trace.spanId = 0x5678;
