@@ -29,8 +29,10 @@
  *
  * Everything is seeded (--chaos-seed) and one client drives the
  * service, so BENCH_chaos.json is byte-identical across runs with the
- * same seed and environment. Flags, on top of the
- * shared bench/sweep flags:
+ * same seed and environment. Shard snapshots go to a per-process
+ * directory under /tmp, removed when the run ends, so runs sharing a
+ * working directory never share a snapshot file.
+ * Flags, on top of the shared bench/sweep flags:
  *
  *   --chaos-seed=N  injection-sequence seed (default 0xc4a05)
  *
@@ -42,9 +44,13 @@
  */
 
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <string>
+#include <system_error>
 #include <vector>
+
+#include <unistd.h>
 
 #include "bench/bench_util.hh"
 #include "serve/chaos.hh"
@@ -80,62 +86,33 @@ chaosSpecs()
     return specs;
 }
 
-/** Replay counters accumulated over every chunk of one cell. */
-struct ChunkReplay
-{
-    std::uint64_t loads = 0;    ///< load records encountered
-    std::uint64_t predicts = 0; ///< predicts completed
-    std::uint64_t trains = 0;   ///< trains accepted
-    std::uint64_t shed = 0;     ///< requests shed (ShardUnavailable)
-};
-
 /**
- * Replay records [@p begin, @p end) of @p trace through @p session,
- * immediate-update model. ShardUnavailable is counted and shed (the
- * client rides out a quarantine window); anything else aborts.
+ * This process's snapshot directory, removed with everything in it
+ * when the run ends: concurrent runs from one working directory never
+ * share a snapshot file, and a failed run leaves none behind.
  */
-Expected<void>
-replayChunk(ClientSession &session, const Trace &trace,
-            std::size_t begin, std::size_t end, ChunkReplay &replay)
+class SnapshotDir
 {
-    const auto &records = trace.records();
-    for (std::size_t i = begin; i < end; ++i) {
-        const auto &rec = records[i];
-        if (rec.isLoad()) {
-            ++replay.loads;
-            auto pred = session.predict(rec.pc, rec.immOffset);
-            if (!pred) {
-                if (pred.error().code() ==
-                    ErrorCode::ShardUnavailable) {
-                    ++replay.shed;
-                    continue; // skip the matching train
-                }
-                return std::move(pred.error())
-                    .withContext("chaos replay predict at pc " +
-                                 std::to_string(rec.pc));
-            }
-            ++replay.predicts;
-            auto trained = session.train(rec.pc, rec.immOffset,
-                                         rec.effAddr, *pred);
-            if (!trained) {
-                if (trained.error().code() ==
-                    ErrorCode::ShardUnavailable) {
-                    ++replay.shed;
-                    continue;
-                }
-                return std::move(trained.error())
-                    .withContext("chaos replay train at pc " +
-                                 std::to_string(rec.pc));
-            }
-            ++replay.trains;
-        } else if (rec.isBranch()) {
-            session.observeBranch(rec.taken);
-        } else if (rec.cls == InstClass::Call) {
-            session.observeCall(rec.pc);
-        }
+  public:
+    SnapshotDir() : path_("/tmp/clap_chaos_" + std::to_string(getpid()))
+    {
+        // A failure here surfaces as the first snapshot's IoError.
+        std::error_code ignored;
+        std::filesystem::create_directories(path_, ignored);
     }
-    return ok();
-}
+    ~SnapshotDir()
+    {
+        std::error_code ignored;
+        std::filesystem::remove_all(path_, ignored);
+    }
+    SnapshotDir(const SnapshotDir &) = delete;
+    SnapshotDir &operator=(const SnapshotDir &) = delete;
+
+    std::string str() const { return path_.string(); }
+
+  private:
+    std::filesystem::path path_;
+};
 
 /** Everything one (phase, trace) cell produced. */
 struct ChaosCell
@@ -144,7 +121,7 @@ struct ChaosCell
     std::string trace;
     unsigned shards = 0;
     unsigned cycles = 0; ///< fault/recover ticks completed
-    ChunkReplay replay;
+    ReplayResult replay; ///< summed over every chunk
     ChaosCounts faults;
     SupervisorStats sup;
     PredictionStats stats;     ///< final service aggregate
@@ -164,7 +141,8 @@ struct ChaosCell
 Expected<ChaosCell>
 runChaosCell(const std::string &phase, const TraceSpec &spec,
              std::shared_ptr<const Trace> trace, unsigned shards,
-             bool ladder, std::uint64_t seed)
+             bool ladder, std::uint64_t seed,
+             const std::string &snapshotDir)
 {
     ChaosCell cell;
     cell.phase = phase;
@@ -178,7 +156,7 @@ runChaosCell(const std::string &phase, const TraceSpec &spec,
     PredictionService service(config, hybridFactory());
 
     SupervisorConfig supConfig;
-    supConfig.snapshotDir = ".";
+    supConfig.snapshotDir = snapshotDir;
     supConfig.filePrefix = "chaos_" + phase + "_" + spec.name;
     ShardSupervisor supervisor(service, supConfig);
 
@@ -202,11 +180,12 @@ runChaosCell(const std::string &phase, const TraceSpec &spec,
     for (std::size_t begin = 0; begin < total;
          begin += chunkRecords) {
         const std::size_t end = std::min(begin + chunkRecords, total);
-        if (auto replayed = replayChunk(session, *trace, begin, end,
-                                        cell.replay);
-            !replayed) {
-            return std::move(replayed.error());
+        auto replayed = replayTrace(session, *trace, begin, end);
+        if (!replayed) {
+            return std::move(replayed.error())
+                .withContext("chaos replay of '" + spec.name + "'");
         }
+        cell.replay.add(*replayed);
 
         if (cell.cycles % snapEvery == 0) {
             // Periodic epoch advance. Best-effort by design: a shard
@@ -246,7 +225,6 @@ runChaosCell(const std::string &phase, const TraceSpec &spec,
     for (unsigned s = 0; s < shards; ++s) {
         if (service.shardQuarantined(s))
             ++cell.quarantinedAtEnd;
-        std::remove(supervisor.shardSnapshotPath(s).c_str());
     }
     cell.healthyAtEnd = static_cast<bool>(service.health());
 
@@ -291,8 +269,8 @@ checkCell(const ChaosCell &cell)
                  std::to_string(cell.reference.spec) + " correct=" +
                  std::to_string(cell.reference.specCorrect) + ")");
         }
-        if (cell.replay.shed != 0) {
-            fail(std::to_string(cell.replay.shed) +
+        if (cell.replay.unavailable != 0) {
+            fail(std::to_string(cell.replay.unavailable) +
                  " requests shed in the equality phase (recovery "
                  "must complete before the next request)");
         }
@@ -305,13 +283,13 @@ checkCell(const ChaosCell &cell)
         }
     } else {
         // Ladder phase: every load must at least be attempted.
-        if (cell.replay.predicts + cell.replay.shed <
+        if (cell.replay.predicts + cell.replay.unavailable <
             cell.replay.loads) {
             fail("replay lost loads (" +
                  std::to_string(cell.replay.loads) + " seen, " +
                  std::to_string(cell.replay.predicts) +
-                 " predicted, " + std::to_string(cell.replay.shed) +
-                 " shed)");
+                 " predicted, " +
+                 std::to_string(cell.replay.unavailable) + " shed)");
         }
     }
 }
@@ -322,6 +300,7 @@ results()
     std::vector<ChaosCell> cells;
     const unsigned shards = envShardCount("CLAP_SERVE_SHARDS");
     const std::vector<TraceSpec> specs = chaosSpecs();
+    const SnapshotDir snapshots;
     std::uint64_t cellSalt = 0;
     for (const bool ladder : {false, true}) {
         const std::string phase = ladder ? "ladder" : "equality";
@@ -331,7 +310,7 @@ results()
             auto trace =
                 globalTraceStore().get(spec, defaultTraceLength());
             auto cell = runChaosCell(phase, spec, trace, shards,
-                                     ladder, seed);
+                                     ladder, seed, snapshots.str());
             if (!cell) {
                 BenchState::instance().failures.push_back(
                     {"chaos/" + phase + "/" + spec.name,
@@ -358,7 +337,7 @@ printResults()
         table.cell(cell.trace);
         table.cell(static_cast<std::uint64_t>(cell.cycles));
         table.cell(cell.replay.loads);
-        table.cell(cell.replay.shed);
+        table.cell(cell.replay.unavailable);
         table.cell(cell.faults.lbFlips + cell.faults.ltFlips);
         table.cell(cell.faults.workerKills);
         table.cell(cell.faults.snapshotTruncations +

@@ -15,7 +15,7 @@
  *      (net/chaos.hh), so every counter in the table is a pure
  *      function of the seed — running the binary twice must produce
  *      byte-identical BENCH_netchaos.json, which is exactly what the
- *      CI net-smoke job diffs.
+ *      smoke_net ctest diffs (span recording on or off).
  *
  *   2. Server kill/restart: the server is a spawned clapd process
  *      (bench/clapd_util.hh); the bench SIGKILLs it between replay

@@ -31,7 +31,7 @@
  *
  * Both phases end with the divergence audit, and running the binary
  * twice must produce byte-identical BENCH_replica.json — which is
- * exactly what the CI replica-smoke job diffs.
+ * exactly what the smoke_replica ctest diffs.
  *
  * Flags (besides the shared bench/sweep flags):
  *   --replica-seed=N   balance + kill schedule seed (default 0x5eed)

@@ -22,8 +22,9 @@
  * A binary may accept more flags (BenchFlag, passed to benchMain).
  * Any other argument, or a value that is malformed or out of range,
  * exits 2 with a message naming it and listing the accepted flags.
- * A number read from the environment (envUnsigned) is held to the
- * same rule.
+ * A number read from the environment (envUnsigned,
+ * util/parse_number.hh) is held to the same rule; benchMain reads
+ * CLAP_TRACE_INSTS before any work, so a bad budget exits 2 there.
  *
  * Results additionally land in BENCH_<name>.json (written atomically
  * via temp-file + rename): every printed table plus any failed jobs.
@@ -357,27 +358,6 @@ seedFlag(std::string name, std::uint64_t &target)
             }};
 }
 
-/**
- * The number in environment variable @p name, or @p fallback when it
- * is unset or empty. A value that is not wholly a number in
- * [@p lo, @p hi] exits 2, naming the variable.
- */
-inline unsigned
-envUnsigned(const char *name, unsigned fallback, unsigned lo,
-            unsigned hi)
-{
-    const char *text = std::getenv(name);
-    if (text == nullptr || *text == '\0')
-        return fallback;
-    unsigned value = 0;
-    if (!parseNumber(text, lo, hi, value)) {
-        std::fprintf(stderr, "bad value in %s='%s': want a number in "
-                     "%u..%u\n", name, text, lo, hi);
-        std::exit(2);
-    }
-    return value;
-}
-
 /** A shard count from environment variable @p name (default 4, at
  *  most 4096), rounded down to a power of two. */
 inline unsigned
@@ -448,6 +428,9 @@ benchMain(const std::string &name, int argc, char **argv,
     BenchState &state = BenchState::instance();
     state.name = name;
     parseSweepFlags(argc, argv, state.options, extraFlags);
+    // Sweep jobs read the budget on worker threads; a malformed one
+    // must exit 2 here, before any work starts.
+    (void)defaultTraceLength();
 
     // Resolve defaults that depend on the bench name.
     if (state.options.resume && state.options.journalPath.empty())

@@ -5,8 +5,8 @@
  * in as CLAP_CLAPD_PATH), SIGKILL and restart it between replay
  * segments, and stream shard state from one clapd into another — so
  * their bit-for-bit PredictionStats proofs exercise the binary that
- * ships. Also the trace replay loop both benches drive a NetClient
- * with.
+ * ships. Also the trace replay loop these benches and bench_net drive
+ * a NetClient with.
  */
 
 #ifndef CLAP_BENCH_CLAPD_UTIL_HH

@@ -34,8 +34,8 @@
  * clapd --probe=SPEC [--shutdown] turns the binary into a one-shot
  * client instead: connect, ping, one predict/train round trip, and
  * (with --shutdown) a Shutdown request. Exit 0 only if every exchange
- * succeeded — the CI smoke that a separately started daemon actually
- * speaks the protocol end to end.
+ * succeeded — the clapr_failover_smoke ctest's check that a separately
+ * started daemon actually speaks the protocol end to end.
  */
 
 #include <unistd.h>
@@ -87,8 +87,8 @@ struct Options
 /**
  * One-shot client probe against a running daemon: handshake, ping,
  * predict, train, stats, and optionally a Shutdown request. Every
- * failure is structured and fatal — this is the CI assertion that a
- * separately started clapd serves real clients.
+ * failure is structured and fatal — this is the smoke scripts'
+ * assertion that a separately started clapd serves real clients.
  */
 int
 runProbe(const Options &opts)

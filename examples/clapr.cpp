@@ -9,8 +9,8 @@
  *
  * Clients need no changes: clapr speaks exactly the clapd wire
  * protocol, so `clapd --probe=<clapr endpoint>` works unchanged —
- * that is the CI smoke: probe the gateway, SIGKILL a replica, probe
- * again.
+ * that is the clapr_failover_smoke ctest: probe the gateway, SIGKILL a
+ * replica, probe again.
  *
  * Usage:
  *   clapr --replica=SPEC [--replica=SPEC ...]

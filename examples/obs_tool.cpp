@@ -3,7 +3,8 @@
  * Observability tooling: run a predictor over a catalog trace and
  * print its internal-state telemetry (core/telemetry.hh), or validate
  * a trace-event span file emitted by the obs layer. Demonstrates the
- * introspection API and doubles as the CI smoke-check utility:
+ * introspection API and doubles as the smoke-check utility
+ * (scripts/smoke.sh, scripts/fleet_trace_smoke.sh):
  *
  *   obs_tool                                  # usage + trace list
  *   obs_tool stats INT_go                     # hybrid telemetry
@@ -24,8 +25,8 @@
  *
  * The --json output is a pure function of (trace, predictor, insts):
  * it contains the PredictionStats counters and the telemetry snapshot
- * but never the (enablement-dependent) metrics registry, so CI can
- * diff a CLAP_METRICS=0 run against a CLAP_METRICS=1 run byte for
+ * but never the (enablement-dependent) metrics registry, so smoke_obs
+ * diffs a CLAP_METRICS=0 run against a CLAP_METRICS=1 run byte for
  * byte to prove instrumentation changes no simulation result. The
  * scrape analogue is --stable: the server omits wall-clock ("timing")
  * sections, so two same-seed runs scrape byte-identically.

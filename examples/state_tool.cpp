@@ -2,7 +2,7 @@
  * @file
  * Predictor snapshot tooling: demonstrate the versioned state
  * serialization API (core/state_io.hh) and double as the small
- * command-line utility the CI chaos-smoke job scripts against:
+ * command-line utility the state_tool_contract ctest scripts against:
  *
  *   state_tool                         # usage
  *   state_tool demo [predictor]        # capture/restore round trip

@@ -75,7 +75,9 @@ expect 2 env CLAP_SERVE_SHARDS=4x "$BENCH/bench_chaos"
 grep -q CLAP_SERVE_SHARDS run.log ||
     fail "bench_chaos did not name CLAP_SERVE_SHARDS"
 expect 2 env CLAP_SERVE_SHARDS=0 "$BENCH/bench_serve"
-expect 2 env CLAP_NET_CLIENTS=abc "$BENCH/bench_net"
+expect 2 env CLAP_TRACE_INSTS=2e4 "$BENCH/bench_intro_rates"
+grep -q CLAP_TRACE_INSTS run.log ||
+    fail "bench_intro_rates did not name CLAP_TRACE_INSTS"
 
 if [ "$STATUS" -ne 0 ]; then
     echo "bench_cli: FAILURES (see above)" >&2

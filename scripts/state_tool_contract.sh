@@ -18,6 +18,8 @@
 set -u
 
 TOOL=${1:?usage: state_tool_contract.sh /path/to/state_tool}
+# Resolved before the cd below, so a relative path works too.
+TOOL=$(cd "$(dirname "$TOOL")" && pwd)/$(basename "$TOOL") || exit 70
 WORK=$(mktemp -d) || exit 70
 trap 'rm -rf "$WORK"' EXIT INT TERM
 cd "$WORK" || exit 70

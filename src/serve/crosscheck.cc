@@ -1,27 +1,20 @@
 #include "serve/crosscheck.hh"
 
-#include <chrono>
-
 #include "sim/predictor_sim.hh"
 
 namespace clap
 {
 
 Expected<ReplayResult>
-replayTrace(ClientSession &session, const Trace &trace,
-            bool collect_latencies)
+replayTrace(ClientSession &session, const Trace &trace, std::size_t first,
+            std::size_t last)
 {
-    using Clock = std::chrono::steady_clock;
-
     ReplayResult result;
-    if (collect_latencies)
-        result.latenciesNs.reserve(trace.size() / 4);
-
-    for (const auto &rec : trace.records()) {
+    const auto &records = trace.records();
+    for (std::size_t i = first; i < last && i < records.size(); ++i) {
+        const auto &rec = records[i];
         if (rec.isLoad()) {
             ++result.loads;
-            const Clock::time_point begin =
-                collect_latencies ? Clock::now() : Clock::time_point{};
             auto pred = session.predict(rec.pc, rec.immOffset);
             if (!pred) {
                 if (pred.error().code() ==
@@ -32,15 +25,6 @@ replayTrace(ClientSession &session, const Trace &trace,
                 return std::move(pred.error())
                     .withContext("replaying load at pc " +
                                  std::to_string(rec.pc));
-            }
-            if (collect_latencies) {
-                const auto ns =
-                    std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        Clock::now() - begin)
-                        .count();
-                result.latenciesNs.push_back(static_cast<std::uint32_t>(
-                    ns < 0 ? 0
-                           : ns > UINT32_MAX ? UINT32_MAX : ns));
             }
             ++result.predicts;
             auto trained = session.train(rec.pc, rec.immOffset,

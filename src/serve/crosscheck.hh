@@ -18,8 +18,8 @@
 #ifndef CLAP_SERVE_CROSSCHECK_HH
 #define CLAP_SERVE_CROSSCHECK_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "serve/service.hh"
 #include "trace/trace.hh"
@@ -35,24 +35,33 @@ struct ReplayResult
     std::uint64_t trains = 0;     ///< train requests applied
     std::uint64_t unavailable = 0;///< requests shed while quarantined
 
-    /// predict() latencies in nanoseconds, when requested (call to
-    /// return; the client-visible service latency).
-    std::vector<std::uint32_t> latenciesNs;
+    /** Accumulate the counters of a replay of a later record range. */
+    void
+    add(const ReplayResult &other)
+    {
+        loads += other.loads;
+        predicts += other.predicts;
+        trains += other.trains;
+        unavailable += other.unavailable;
+    }
+
+    bool operator==(const ReplayResult &) const = default;
 };
 
 /**
- * Replay @p trace through @p session in the immediate-update model:
- * every load is predicted and then trained with its actual address;
- * branches and calls update the session history exactly as
- * runPredictorSim maintains its globals. ShardUnavailable requests
- * are counted and shed (their train is skipped) — a transient
- * recovery outcome a client rides out; any other failure aborts the
- * replay.
- * @p collect_latencies enables per-predict timing.
+ * Replay records [@p first, @p last) of @p trace (by default all of
+ * them) through @p session in the immediate-update model: every load
+ * is predicted and then trained with its actual address; branches
+ * and calls update the session history exactly as runPredictorSim
+ * maintains its globals. ShardUnavailable requests are counted and
+ * shed (their train is skipped) — a transient recovery outcome a
+ * client rides out; any other failure aborts the replay. Replaying
+ * consecutive ranges through one session equals one whole replay.
  */
 Expected<ReplayResult> replayTrace(ClientSession &session,
                                    const Trace &trace,
-                                   bool collect_latencies = false);
+                                   std::size_t first = 0,
+                                   std::size_t last = SIZE_MAX);
 
 /** Both sides of the semantics cross-check. */
 struct CrosscheckResult

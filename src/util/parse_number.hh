@@ -1,9 +1,10 @@
 /**
  * @file
  * The one checked number parser behind every command-line flag of the
- * bench binaries and the clapd/clapr daemons: a value that is not
- * wholly a number in range is refused, never read as a prefix
- * ("2s" as 2) or wrapped ("-1" as 4294967295).
+ * bench binaries and the clapd/clapr daemons, and every numeric
+ * environment knob (envUnsigned): a value that is not wholly a number
+ * in range is refused, never read as a prefix ("2s" as 2, "2e4" as 2)
+ * or wrapped ("-1" as 4294967295).
  */
 
 #ifndef CLAP_UTIL_PARSE_NUMBER_HH
@@ -11,6 +12,8 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cstddef>
+#include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <string>
@@ -52,6 +55,27 @@ parseNumber(const std::string &text, T lo, T hi, T &out,
         return false;
     out = value;
     return true;
+}
+
+/**
+ * The number in environment variable @p name, or @p fallback when it
+ * is unset or empty. A value that is not wholly a number in
+ * [@p lo, @p hi] exits 2, naming the variable.
+ */
+inline std::size_t
+envUnsigned(const char *name, std::size_t fallback, std::size_t lo,
+            std::size_t hi)
+{
+    const char *text = std::getenv(name);
+    if (text == nullptr || *text == '\0')
+        return fallback;
+    std::size_t value = 0;
+    if (!parseNumber(text, lo, hi, value)) {
+        std::fprintf(stderr, "bad value in %s='%s': want a number in "
+                     "%zu..%zu\n", name, text, lo, hi);
+        std::exit(2);
+    }
+    return value;
 }
 
 } // namespace clap

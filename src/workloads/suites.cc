@@ -1,6 +1,8 @@
 #include "workloads/suites.hh"
 
-#include <cstdlib>
+#include <limits>
+
+#include "util/parse_number.hh"
 
 namespace clap
 {
@@ -385,12 +387,8 @@ buildSuite(const std::string &suite)
 std::size_t
 defaultTraceLength()
 {
-    if (const char *env = std::getenv("CLAP_TRACE_INSTS")) {
-        const long val = std::atol(env);
-        if (val > 0)
-            return static_cast<std::size_t>(val);
-    }
-    return 200000;
+    return envUnsigned("CLAP_TRACE_INSTS", 200000, 1,
+                       std::numeric_limits<std::size_t>::max());
 }
 
 } // namespace clap

@@ -43,7 +43,9 @@ std::vector<TraceSpec> buildSuite(const std::string &suite);
 /**
  * Default per-trace instruction budget for experiments. Reads the
  * CLAP_TRACE_INSTS environment variable when set (so CI or quick runs
- * can scale the experiment size), otherwise returns 200000.
+ * can scale the experiment size), otherwise returns 200000. A value
+ * that is not wholly a number of at least 1 ("2e4", "abc", "0") exits
+ * 2, naming the variable (envUnsigned, util/parse_number.hh).
  */
 std::size_t defaultTraceLength();
 

@@ -180,10 +180,18 @@ TEST(Catalog, DefaultTraceLengthEnvOverride)
 {
     unsetenv("CLAP_TRACE_INSTS");
     EXPECT_EQ(defaultTraceLength(), 200000u);
+    setenv("CLAP_TRACE_INSTS", "", 1);
+    EXPECT_EQ(defaultTraceLength(), 200000u);
     setenv("CLAP_TRACE_INSTS", "1234", 1);
     EXPECT_EQ(defaultTraceLength(), 1234u);
-    setenv("CLAP_TRACE_INSTS", "-5", 1);
-    EXPECT_EQ(defaultTraceLength(), 200000u);
+    // A budget that is not wholly a number of at least 1 is refused,
+    // never read as a prefix ("2e4" as 2) or replaced by the default.
+    for (const char *bad : {"2e4", "abc", "0", "-5"}) {
+        setenv("CLAP_TRACE_INSTS", bad, 1);
+        EXPECT_EXIT(defaultTraceLength(), ::testing::ExitedWithCode(2),
+                    "CLAP_TRACE_INSTS")
+            << bad;
+    }
     unsetenv("CLAP_TRACE_INSTS");
 }
 

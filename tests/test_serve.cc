@@ -151,6 +151,39 @@ TEST(ServeCrosscheck, WorksForStridePredictorToo)
     EXPECT_TRUE(checked->equal());
 }
 
+TEST(ServeCrosscheck, RangedReplaysEqualOneWholeReplay)
+{
+    const Trace trace = testTrace();
+    ServiceConfig config;
+    config.shards = 4;
+    config.auditEveryBatches = 64;
+
+    PredictionService whole(config, testHybridFactory());
+    ClientSession wholeSession = whole.connect();
+    auto expected = replayTrace(wholeSession, trace);
+    ASSERT_TRUE(expected) << expected.error().str();
+    whole.stop();
+
+    // One session, consecutive ranges; the last one runs past the end.
+    PredictionService chunked(config, testHybridFactory());
+    ClientSession session = chunked.connect();
+    ReplayResult summed;
+    constexpr std::size_t chunk = 4093;
+    for (std::size_t first = 0; first < trace.size(); first += chunk) {
+        auto part = replayTrace(session, trace, first, first + chunk);
+        ASSERT_TRUE(part) << part.error().str();
+        summed.add(*part);
+    }
+    auto empty = replayTrace(session, trace, trace.size(), SIZE_MAX);
+    ASSERT_TRUE(empty) << empty.error().str();
+    EXPECT_EQ(*empty, ReplayResult{});
+    chunked.stop();
+
+    EXPECT_GT(expected->loads, 0u);
+    EXPECT_EQ(summed, *expected);
+    EXPECT_EQ(chunked.aggregateStats(), whole.aggregateStats());
+}
+
 TEST(ServeDeterministic, StatsTalliedOnTrainOnly)
 {
     ServiceConfig config;
