@@ -99,7 +99,7 @@ results()
     ServerConfig serverConfig;
     serverConfig.endpoint = "unix:" + path;
     serverConfig.maxConnections = clients + 4;
-    NetServer server(service, nullptr, serverConfig);
+    NetServer server(service, serverConfig);
     if (auto started = server.start(); !started) {
         BenchState::instance().failures.push_back(
             {"net/start", started.error().str()});

@@ -126,7 +126,7 @@ runChaosTier(const ChaosTier &tier, const Trace &trace)
     // connections; a generous budget keeps turned_away at a
     // deterministic zero.
     serverConfig.maxConnections = 256;
-    NetServer server(service, nullptr, serverConfig);
+    NetServer server(service, serverConfig);
     if (auto started = server.start(); !started) {
         BenchState::instance().failures.push_back(
             {"netchaos/chaos/" + row.tier + "/start",

@@ -45,10 +45,10 @@ chaosBenchTrace()
 
 /**
  * One spawned `clapd` process: the default server config in front of
- * a service of default hybrid predictors, with no supervisor. Each
- * request runs on its connection's thread under the shard lock, so a
- * single connection's request stream is a pure function of its order,
- * which is what the same-seed JSON and stats-equality checks need.
+ * a service of default hybrid predictors. Each request runs on its
+ * connection's thread under the shard lock, so a single connection's
+ * request stream is a pure function of its order, which is what the
+ * same-seed JSON and stats-equality checks need.
  */
 class ClapdProcess
 {

@@ -1,10 +1,14 @@
 /**
  * @file
  * clapd — the prediction service as a standalone daemon. Builds a
- * sharded PredictionService (hybrid CAP/stride predictors), optionally
- * puts a ShardSupervisor over it, and fronts it with the net/ gateway
- * on a UDS or TCP endpoint. Runs until a client's Shutdown frame or
- * SIGINT/SIGTERM, then drains and exits 0.
+ * sharded PredictionService (hybrid CAP/stride predictors) and fronts
+ * it with the net/ gateway on a UDS or TCP endpoint. Runs until a
+ * client's Shutdown frame or SIGINT/SIGTERM, then drains and exits 0.
+ *
+ * A daemon keeps no recovery path of its own: its predictor state is
+ * speculative and a pure function of the train stream, so a failed
+ * clapd is recovered by the fleet — clapr installs a healthy donor's
+ * shard snapshots into it (DESIGN.md §13).
  *
  * This is also the process the chaos benches spawn (through
  * bench/clapd_util.hh): bench_netchaos SIGKILLs and restarts it
@@ -15,9 +19,7 @@
  *
  * Usage:
  *   clapd [--endpoint=unix:/tmp/clapd.sock | --endpoint=tcp:127.0.0.1:0]
- *         [--shards=N] [--journal-capacity=N]
- *         [--supervise] [--snapshot-dir=DIR] [--snapshot-interval-ms=N]
- *         [--max-connections=N]
+ *         [--shards=N] [--max-connections=N]
  *         [--read-deadline-ms=N] [--write-deadline-ms=N]
  *         [--ready-fd=N] [--quiet]
  *
@@ -55,7 +57,6 @@
 #include "net/client.hh"
 #include "net/server.hh"
 #include "serve/service.hh"
-#include "serve/supervisor.hh"
 #include "util/parse_number.hh"
 
 namespace
@@ -76,8 +77,6 @@ struct Options
 {
     ServerConfig server;
     ServiceConfig service;
-    bool supervise = false;
-    SupervisorConfig supervisor;
     int readyFd = -1;
     bool quiet = false;
     std::string probe;    ///< non-empty: run as a one-shot client
@@ -144,10 +143,7 @@ usage(const char *argv0)
 {
     std::fprintf(stderr,
                  "usage: %s [--endpoint=SPEC] [--shards=N] "
-                 "[--journal-capacity=N] [--supervise]\n"
-                 "          [--snapshot-dir=DIR] "
-                 "[--snapshot-interval-ms=N]\n"
-                 "          [--max-connections=N]\n"
+                 "[--max-connections=N]\n"
                  "          [--read-deadline-ms=N] "
                  "[--write-deadline-ms=N]\n"
                  "          [--ready-fd=N] [--quiet]\n"
@@ -159,8 +155,6 @@ bool
 parseOptions(int argc, char **argv, Options &opts)
 {
     opts.service.shards = 4;
-    opts.supervisor.filePrefix = "clapd";
-    opts.supervisor.snapshotIntervalMs = 100;
     constexpr unsigned maxUnsigned = std::numeric_limits<unsigned>::max();
     constexpr int maxInt = std::numeric_limits<int>::max();
     for (int i = 1; i < argc; ++i) {
@@ -175,17 +169,6 @@ parseOptions(int argc, char **argv, Options &opts)
             opts.server.endpoint = v;
         } else if (const char *v = valueOf("--shards=")) {
             valid = parseNumber(v, 1u, 4096u, opts.service.shards);
-        } else if (const char *v = valueOf("--journal-capacity=")) {
-            valid = parseNumber(v, std::size_t{0},
-                                std::numeric_limits<std::size_t>::max(),
-                                opts.service.journalCapacity);
-        } else if (arg == "--supervise") {
-            opts.supervise = true;
-        } else if (const char *v = valueOf("--snapshot-dir=")) {
-            opts.supervisor.snapshotDir = v;
-        } else if (const char *v = valueOf("--snapshot-interval-ms=")) {
-            valid = parseNumber(v, 0u, maxUnsigned,
-                                opts.supervisor.snapshotIntervalMs);
         } else if (const char *v = valueOf("--max-connections=")) {
             valid = parseNumber(v, 1u, maxUnsigned,
                                 opts.server.maxConnections);
@@ -250,24 +233,7 @@ main(int argc, char **argv)
         return std::make_unique<HybridPredictor>(HybridConfig{});
     });
 
-    std::unique_ptr<ShardSupervisor> supervisor;
-    if (opts.supervise) {
-        if (auto valid = opts.supervisor.validate(); !valid) {
-            std::fprintf(stderr, "clapd: %s\n",
-                         valid.error().str().c_str());
-            return 2;
-        }
-        supervisor =
-            std::make_unique<ShardSupervisor>(service, opts.supervisor);
-        if (auto snapped = supervisor->snapshotAll(); !snapped) {
-            std::fprintf(stderr, "clapd: initial snapshot: %s\n",
-                         snapped.error().str().c_str());
-            return 1;
-        }
-        supervisor->start();
-    }
-
-    NetServer server(service, supervisor.get(), opts.server);
+    NetServer server(service, opts.server);
     if (auto started = server.start(); !started) {
         std::fprintf(stderr, "clapd: %s\n",
                      started.error().str().c_str());
@@ -292,8 +258,6 @@ main(int argc, char **argv)
     }
 
     server.stop();
-    if (supervisor)
-        supervisor->stop();
     service.stop();
 
     if (!opts.quiet) {

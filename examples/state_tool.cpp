@@ -11,9 +11,10 @@
  *   state_tool verify FILE --salvage   # recover intact sections only
  *
  * The demo runs a predictor over the first half of a trace, snapshots
- * it, restores the snapshot into a fresh instance, and replays the
- * second half through both — the restored predictor must produce
- * bit-for-bit identical PredictionStats (the state_io contract).
+ * it to <predictor>.state in the current directory, restores the
+ * snapshot into a fresh instance, and replays the second half through
+ * both — the restored predictor must produce bit-for-bit identical
+ * PredictionStats (the state_io contract).
  *
  * verify builds a default-configuration predictor of the kind named
  * in the snapshot header; snapshots captured from non-default table
@@ -199,8 +200,9 @@ demo(const std::string &kind)
                 firstHalf.size(), spec.name.c_str());
     runPredictorSim(firstHalf, *original, {});
 
-    // Snapshot mid-run, restore into a fresh instance.
-    const std::string path = "/tmp/" + kind + ".state";
+    // Snapshot mid-run into the working directory, restore into a
+    // fresh instance.
+    const std::string path = kind + ".state";
     if (auto written = writePredictorState(*original, path); !written) {
         std::fprintf(stderr, "state_tool: %s\n",
                      written.error().str().c_str());

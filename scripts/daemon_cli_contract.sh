@@ -59,8 +59,6 @@ clapd_bad --shards=4x
 clapd_bad --shards=
 clapd_bad --max-connections=0
 clapd_bad --max-connections=4294967296
-clapd_bad --journal-capacity=1e3
-clapd_bad --snapshot-interval-ms=10ms
 clapd_bad --ready-fd=x
 # Parses, but the service refuses it.
 refused clapd "shards must be a power of two" --shards=3 \
@@ -68,7 +66,8 @@ refused clapd "shards must be a power of two" --shards=3 \
 # Flags that no longer exist.
 for flag in --queue-capacity=8 --max-batch=1 --deterministic \
             --max-inflight=256 --shed-fraction=0.5 \
-            --reject-fraction=0.9; do
+            --reject-fraction=0.9 --supervise "--snapshot-dir=$WORK" \
+            --snapshot-interval-ms=100 --journal-capacity=65536; do
     refused clapd "unknown flag '$flag'" "$flag" \
         "$CLAPD" --endpoint="unix:$WORK/d.sock" --quiet
 done

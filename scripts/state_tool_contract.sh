@@ -42,12 +42,11 @@ expect() {
 }
 
 # The demo captures a mid-trace snapshot and proves the restore is
-# bit-for-bit; it writes /tmp/hybrid.state, which becomes our good
-# input (copied into the scratch dir so reruns cannot interfere).
+# bit-for-bit; it writes hybrid.state in this script's temporary
+# directory, which becomes our good input.
 expect "demo"            0 "$TOOL" demo hybrid
-[ -s /tmp/hybrid.state ] ||
-    { echo "demo left no /tmp/hybrid.state" >&2; exit 1; }
-cp /tmp/hybrid.state hybrid.state
+[ -s hybrid.state ] ||
+    { echo "demo left no hybrid.state" >&2; exit 1; }
 
 expect "verify good"     0 "$TOOL" verify hybrid.state
 expect "inspect good"    0 "$TOOL" inspect hybrid.state

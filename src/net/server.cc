@@ -70,9 +70,8 @@ FrameHandler::obsJson(bool include_timing, std::string_view server_name)
     return json;
 }
 
-ServiceFrameHandler::ServiceFrameHandler(PredictionService &service,
-                                         ShardSupervisor *supervisor)
-    : service_(service), supervisor_(supervisor)
+ServiceFrameHandler::ServiceFrameHandler(PredictionService &service)
+    : service_(service)
 {
 }
 
@@ -120,21 +119,8 @@ ServiceFrameHandler::handle(const Frame &frame)
             ShardWireStats shard;
             shard.predicts = snap.predicts;
             shard.trains = snap.trains;
-            shard.unavailable = snap.unavailable;
-            shard.queueDepth = snap.queueDepth;
-            shard.quarantined = snap.quarantined ? 1 : 0;
             shard.stats = snap.stats;
             stats.shards.push_back(shard);
-        }
-        if (supervisor_ != nullptr) {
-            const SupervisorStats sup = supervisor_->stats();
-            stats.supervisor.snapshots = sup.snapshots;
-            stats.supervisor.snapshotFailures = sup.snapshotFailures;
-            stats.supervisor.recoveries = sup.recoveries;
-            stats.supervisor.strictRestores = sup.strictRestores;
-            stats.supervisor.salvagedRestores = sup.salvagedRestores;
-            stats.supervisor.freshRestarts = sup.freshRestarts;
-            stats.supervisor.unrecovered = sup.unrecovered;
         }
         return HandlerReply::make(FrameType::StatsOk,
                                   encodeServiceStats(stats));
@@ -223,12 +209,10 @@ NetServer::NetServer(FrameHandler &handler, const ServerConfig &config)
 }
 
 NetServer::NetServer(PredictionService &service,
-                     ShardSupervisor *supervisor,
                      const ServerConfig &config)
     : handler_(nullptr), config_(config)
 {
-    ownedHandler_ =
-        std::make_unique<ServiceFrameHandler>(service, supervisor);
+    ownedHandler_ = std::make_unique<ServiceFrameHandler>(service);
     handler_ = ownedHandler_.get();
 }
 

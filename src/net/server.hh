@@ -36,7 +36,6 @@
 #include "net/socket.hh"
 #include "net/wire.hh"
 #include "serve/service.hh"
-#include "serve/supervisor.hh"
 #include "util/error.hh"
 
 namespace clap::net
@@ -159,16 +158,11 @@ class FrameHandler
                                 std::string_view server_name);
 };
 
-/**
- * The classic clapd request handler: one local PredictionService.
- * @p supervisor may be null; when present its stats ride along in
- * StatsOk frames.
- */
+/** The classic clapd request handler: one local PredictionService. */
 class ServiceFrameHandler : public FrameHandler
 {
   public:
-    ServiceFrameHandler(PredictionService &service,
-                        ShardSupervisor *supervisor);
+    explicit ServiceFrameHandler(PredictionService &service);
 
     HandlerReply handle(const Frame &frame) override;
 
@@ -178,7 +172,6 @@ class ServiceFrameHandler : public FrameHandler
 
   private:
     PredictionService &service_;
-    ShardSupervisor *supervisor_;
 };
 
 class NetServer
@@ -192,10 +185,9 @@ class NetServer
 
     /**
      * Convenience: front a local PredictionService through an owned
-     * ServiceFrameHandler. @p supervisor may be null.
+     * ServiceFrameHandler.
      */
-    NetServer(PredictionService &service, ShardSupervisor *supervisor,
-              const ServerConfig &config);
+    NetServer(PredictionService &service, const ServerConfig &config);
     ~NetServer();
 
     NetServer(const NetServer &) = delete;

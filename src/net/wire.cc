@@ -533,19 +533,8 @@ encodeServiceStats(const ServiceWireStats &stats)
     for (const auto &shard : stats.shards) {
         putU64(out, shard.predicts);
         putU64(out, shard.trains);
-        putU64(out, shard.unavailable);
-        putU64(out, shard.queueDepth);
-        putU8(out, shard.quarantined);
         putPredictionStats(out, shard.stats);
     }
-    const auto &sup = stats.supervisor;
-    putU64(out, sup.snapshots);
-    putU64(out, sup.snapshotFailures);
-    putU64(out, sup.recoveries);
-    putU64(out, sup.strictRestores);
-    putU64(out, sup.salvagedRestores);
-    putU64(out, sup.freshRestarts);
-    putU64(out, sup.unrecovered);
     return out;
 }
 
@@ -558,9 +547,9 @@ decodeServiceStats(std::string_view payload, ServiceWireStats &stats)
     std::uint32_t shards = 0;
     if (!getU32(payload, pos, shards))
         return false;
-    // 33 bytes of counters + 160 bytes of PredictionStats per shard
+    // 16 bytes of counters + 160 bytes of PredictionStats per shard
     // entry; bound before reserving.
-    if (shards > payload.size() / 193 + 1)
+    if (shards > payload.size() / 176 + 1)
         return false;
     stats.shards.clear();
     stats.shards.reserve(shards);
@@ -568,21 +557,11 @@ decodeServiceStats(std::string_view payload, ServiceWireStats &stats)
         ShardWireStats shard;
         if (!getU64(payload, pos, shard.predicts) ||
             !getU64(payload, pos, shard.trains) ||
-            !getU64(payload, pos, shard.unavailable) ||
-            !getU64(payload, pos, shard.queueDepth) ||
-            !getU8(payload, pos, shard.quarantined) ||
             !getPredictionStats(payload, pos, shard.stats))
             return false;
         stats.shards.push_back(shard);
     }
-    auto &sup = stats.supervisor;
-    return getU64(payload, pos, sup.snapshots) &&
-        getU64(payload, pos, sup.snapshotFailures) &&
-        getU64(payload, pos, sup.recoveries) &&
-        getU64(payload, pos, sup.strictRestores) &&
-        getU64(payload, pos, sup.salvagedRestores) &&
-        getU64(payload, pos, sup.freshRestarts) &&
-        getU64(payload, pos, sup.unrecovered) && pos == payload.size();
+    return pos == payload.size();
 }
 
 std::string

@@ -10,7 +10,7 @@
  * Frame layout (little-endian):
  *
  *   magic    u32   "CLNP"
- *   version  u16   2 (plain) or 4 = wireVersion (trace-context-prefixed)
+ *   version  u16   2 (plain) or 5 = wireVersion (trace-context-prefixed)
  *   type     u16   FrameType
  *   id       u64   request id (echoed by the matching response)
  *   length   u32   payload bytes (<= maxFramePayload)
@@ -72,8 +72,10 @@ constexpr std::uint32_t wireMagic = 0x504e4c43u;
  *  and split the error payload into message + context chain. v3 added
  *  the per-frame trace-context prefix, the ObsFetch/ObsOk scrape
  *  frames, and the clock epoch in HelloOk. v4 dropped StatsOk's
- *  per-shard `rejected` slot, which no server ever filled. */
-constexpr std::uint16_t wireVersion = 4;
+ *  per-shard `rejected` slot, which no server ever filled. v5 dropped
+ *  StatsOk's supervisor counters and its per-shard `unavailable`,
+ *  `queueDepth` and `quarantined` slots, which no client read. */
+constexpr std::uint16_t wireVersion = 5;
 
 /** Header version of a frame without the trace-context prefix. */
 constexpr std::uint16_t plainFrameVersion = 2;
@@ -261,32 +263,16 @@ struct ShardWireStats
 {
     std::uint64_t predicts = 0;
     std::uint64_t trains = 0;
-    std::uint64_t unavailable = 0;
-    std::uint64_t queueDepth = 0; ///< callers running or waiting
-    std::uint8_t quarantined = 0;
     PredictionStats stats; ///< tallied at train resolution
 };
 
-/** Supervisor recovery counters (mirrors serve/SupervisorStats). */
-struct SupervisorWireStats
-{
-    std::uint64_t snapshots = 0;
-    std::uint64_t snapshotFailures = 0;
-    std::uint64_t recoveries = 0;
-    std::uint64_t strictRestores = 0;
-    std::uint64_t salvagedRestores = 0;
-    std::uint64_t freshRestarts = 0;
-    std::uint64_t unrecovered = 0;
-};
-
-/** StatsOk payload: the aggregate PredictionStats plus per-shard and
- *  supervisor counters — what a remote operator (or the migration
- *  check) needs to compare a service bit for bit. */
+/** StatsOk payload: the aggregate PredictionStats plus per-shard
+ *  counters — what a remote operator (or the migration check) needs
+ *  to compare a service bit for bit. */
 struct ServiceWireStats
 {
     PredictionStats aggregate;
     std::vector<ShardWireStats> shards;
-    SupervisorWireStats supervisor; ///< zeros when no supervisor runs
 };
 
 std::string encodeServiceStats(const ServiceWireStats &stats);

@@ -224,10 +224,6 @@ ReplicaGateway::handle(const Frame &frame)
         return handleTrain(frame);
       case FrameType::Stats:
         return handleStats();
-      case FrameType::SnapshotFetch:
-        return handleSnapshotFetch(frame);
-      case FrameType::SnapshotInstall:
-        return handleSnapshotInstall(frame);
       default:
         return HandlerReply::fail(
             makeError(ErrorCode::ProtocolError,
@@ -433,68 +429,6 @@ ReplicaGateway::handleStats()
     statsProxied_.fetch_add(1, std::memory_order_relaxed);
     return HandlerReply::make(FrameType::StatsOk,
                               net::encodeServiceStats(*stats));
-}
-
-HandlerReply
-ReplicaGateway::handleSnapshotFetch(const Frame &frame)
-{
-    std::uint32_t shard = 0;
-    if (!net::decodeSnapshotRequest(frame.payload, shard)) {
-        return HandlerReply::fail(makeError(ErrorCode::ProtocolError,
-                                            "malformed SnapshotFetch"));
-    }
-    auto designated = designatedReplica();
-    if (!designated)
-        return HandlerReply::fail(std::move(designated.error()));
-    Link &link = *links_[*designated];
-    Expected<std::string> bytes = [&] {
-        std::lock_guard<std::mutex> lock(link.mutex);
-        return link.client->fetchSnapshot(shard);
-    }();
-    if (!bytes)
-        return HandlerReply::fail(std::move(bytes.error()));
-    return HandlerReply::make(FrameType::SnapshotData,
-                              net::encodeSnapshotData(shard, *bytes));
-}
-
-HandlerReply
-ReplicaGateway::handleSnapshotInstall(const Frame &frame)
-{
-    std::uint32_t shard = 0;
-    std::string bytes;
-    if (!net::decodeSnapshotData(frame.payload, shard, bytes)) {
-        return HandlerReply::fail(makeError(
-            ErrorCode::ProtocolError, "malformed SnapshotInstall"));
-    }
-    // An install rewrites shard state; like a train, it must land on
-    // every converged replica or that replica forks.
-    std::lock_guard<std::mutex> trainLock(trainMutex_);
-    std::vector<unsigned> targets;
-    {
-        std::lock_guard<std::mutex> lock(tableMutex_);
-        targets = table_.trainTargets();
-    }
-    Expected<std::pair<std::uint32_t, bool>> first =
-        makeError(ErrorCode::ShardUnavailable, "no serving replica");
-    for (unsigned idx : targets) {
-        Link &link = *links_[idx];
-        Expected<std::pair<std::uint32_t, bool>> installed = [&] {
-            std::lock_guard<std::mutex> lock(link.mutex);
-            return link.client->installSnapshot(shard, bytes);
-        }();
-        std::lock_guard<std::mutex> lock(tableMutex_);
-        if (installed) {
-            if (!first)
-                first = installed;
-        } else {
-            table_.markDown(idx);
-        }
-    }
-    if (!first)
-        return HandlerReply::fail(std::move(first.error()));
-    return HandlerReply::make(
-        FrameType::SnapshotInstallOk,
-        net::encodeSnapshotInstallOk(first->first, first->second));
 }
 
 void

@@ -257,8 +257,6 @@ class ReplicaGateway : public net::FrameHandler
     net::HandlerReply handlePredict(const net::Frame &frame);
     net::HandlerReply handleTrain(const net::Frame &frame);
     net::HandlerReply handleStats();
-    net::HandlerReply handleSnapshotFetch(const net::Frame &frame);
-    net::HandlerReply handleSnapshotInstall(const net::Frame &frame);
 
     /** Pick + failover order for one predict (under tableMutex_). */
     std::vector<unsigned> predictAttemptOrder();
@@ -279,8 +277,8 @@ class ReplicaGateway : public net::FrameHandler
     /// Per-replica fetched snapshots between beginJoin and finishJoin.
     std::vector<std::vector<std::string>> staged_;
 
-    /// Serializes train fan-out, the bootstrap cut/replay, snapshot
-    /// installs, and audits. Ordered before tableMutex_ and links.
+    /// Serializes train fan-out, the bootstrap cut/replay, and
+    /// audits. Ordered before tableMutex_ and links.
     std::mutex trainMutex_;
 
     /// Guards fleet_ only; never held across network I/O and never

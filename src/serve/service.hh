@@ -76,7 +76,9 @@ struct ServiceConfig
     /// is what restoreShardState() replays to roll a shard forward
     /// from its last snapshot; on overflow the journal is discarded
     /// and marked, voiding the exact-replay guarantee until the next
-    /// capture.
+    /// capture. Only an in-process ShardSupervisor's owner sets it:
+    /// a service that installs another's snapshot (clapd) keeps 0,
+    /// or the install would replay this service's own journal on top.
     std::size_t journalCapacity = 0;
 
     /** Structural sanity checks; call before building a service. */

@@ -12,13 +12,9 @@ namespace clap
 
 ShardSupervisor::ShardSupervisor(PredictionService &service,
                                  const SupervisorConfig &config)
-    : service_(service), config_(validated(config))
+    : service_(service), config_(validated(config)),
+      unwritten_(service.config().shards)
 {
-}
-
-ShardSupervisor::~ShardSupervisor()
-{
-    stop();
 }
 
 std::string
@@ -64,6 +60,7 @@ ShardSupervisor::snapshotShard(unsigned shard_index)
             writeFileAtomic(shardSnapshotPath(shard_index), *captured);
         !written) {
         std::lock_guard<std::mutex> lock(mutex_);
+        unwritten_[shard_index] = std::move(*captured);
         ++stats_.snapshotFailures;
         snapshotFailures.add();
         return std::move(written.error())
@@ -71,6 +68,7 @@ ShardSupervisor::snapshotShard(unsigned shard_index)
     }
     {
         std::lock_guard<std::mutex> lock(mutex_);
+        unwritten_[shard_index].clear();
         ++stats_.snapshots;
     }
     snapshots.add();
@@ -125,8 +123,16 @@ ShardSupervisor::recoverShard(unsigned shard_index)
     Outcome outcome = Outcome::Failed;
     Error failure;
 
-    const std::string path = shardSnapshotPath(shard_index);
-    auto bytes = readFileBytes(path);
+    // The capture that opened the journal's epoch: the one whose file
+    // write failed if there is one, else the file.
+    Expected<std::string> bytes = [&]() -> Expected<std::string> {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            if (!unwritten_[shard_index].empty())
+                return unwritten_[shard_index];
+        }
+        return readFileBytes(shardSnapshotPath(shard_index));
+    }();
     if (bytes) {
         if (auto restored =
                 service_.restoreShardState(shard_index, *bytes);
@@ -159,10 +165,10 @@ ShardSupervisor::recoverShard(unsigned shard_index)
 
     service_.rejoinShard(shard_index);
 
-    // Advance the on-disk snapshot (and with it the journal epoch) to
-    // the recovered state, so the next failure replays a short
-    // window. Best-effort: a failure is counted in snapshotFailures
-    // and the old snapshot + full journal still recover exactly.
+    // Advance the snapshot (and with it the journal epoch) to the
+    // recovered state, so the next failure replays a short window.
+    // Best-effort: a failed write is counted in snapshotFailures and
+    // its capture, kept in memory, still recovers exactly.
     (void)snapshotShard(shard_index);
 
     const auto elapsed =
@@ -209,58 +215,6 @@ ShardSupervisor::stats() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return stats_;
-}
-
-void
-ShardSupervisor::start()
-{
-    if (config_.snapshotIntervalMs == 0)
-        return;
-    {
-        std::lock_guard<std::mutex> lock(loopMutex_);
-        if (running_)
-            return;
-        running_ = true;
-        quit_ = false;
-    }
-    thread_ = std::thread([this] { supervisorLoop(); });
-}
-
-void
-ShardSupervisor::stop()
-{
-    {
-        std::lock_guard<std::mutex> lock(loopMutex_);
-        if (!running_)
-            return;
-        quit_ = true;
-    }
-    loopCv_.notify_all();
-    if (thread_.joinable())
-        thread_.join();
-    {
-        std::lock_guard<std::mutex> lock(loopMutex_);
-        running_ = false;
-    }
-}
-
-void
-ShardSupervisor::supervisorLoop()
-{
-    const auto interval =
-        std::chrono::milliseconds(config_.snapshotIntervalMs);
-    for (;;) {
-        {
-            std::unique_lock<std::mutex> lock(loopMutex_);
-            loopCv_.wait_for(lock, interval, [this] { return quit_; });
-            if (quit_)
-                return;
-        }
-        checkAndRecover();
-        // Best-effort periodic snapshots; failures are counted and
-        // the previous snapshot file stays in place (atomic writes).
-        (void)snapshotAll();
-    }
 }
 
 } // namespace clap

@@ -20,25 +20,24 @@
  * recovery"): when the last snapshot is intact and the shard journal
  * has not overflowed, the recovered shard is bit-for-bit identical to
  * an uninterrupted one — same predictor tables, same PredictionStats.
- * A salvaged snapshot or an overflowed journal degrades that to
- * "audit-clean and serving", which the chaos harness
- * (serve/chaos.hh) verifies separately.
+ * Recovery restores the capture that opened the journal's epoch, even
+ * when writing that capture's file failed. A salvaged snapshot or an
+ * overflowed journal degrades that to "audit-clean and serving",
+ * which the chaos harness (serve/chaos.hh) verifies separately.
  *
- * The supervisor runs either in background mode (its own thread,
- * snapshotting and health-checking every snapshotIntervalMs, off the
- * clients' request path) or manually via snapshotAll() /
- * checkAndRecover() ticks, which is what single-client tests and the
- * chaos benchmark drive.
+ * The supervisor runs when its owner calls snapshotAll() and
+ * checkAndRecover(): the chaos benchmark and the tests. It is an
+ * in-process layer; a clapd daemon has none, since the replica fleet
+ * recovers a daemon (DESIGN.md §13).
  */
 
 #ifndef CLAP_SERVE_SUPERVISOR_HH
 #define CLAP_SERVE_SUPERVISOR_HH
 
-#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <thread>
+#include <vector>
 
 #include "serve/service.hh"
 #include "util/error.hh"
@@ -54,10 +53,6 @@ struct SupervisorConfig
     std::string snapshotDir = ".";
 
     std::string filePrefix = "shard";
-
-    /// Background-mode period between snapshot+health passes. 0 means
-    /// manual mode: the owner calls snapshotAll()/checkAndRecover().
-    unsigned snapshotIntervalMs = 0;
 
     /// Fall back to a fresh factory predictor when no snapshot
     /// restores at all; disabling leaves the shard quarantined and
@@ -99,12 +94,10 @@ class ShardSupervisor
   public:
     /**
      * @throws std::invalid_argument when @p config fails validate()
-     * (the predictor-constructor convention). Background mode
-     * (snapshotIntervalMs != 0) starts on start(), not construction.
+     * (the predictor-constructor convention).
      */
     ShardSupervisor(PredictionService &service,
                     const SupervisorConfig &config);
-    ~ShardSupervisor();
 
     ShardSupervisor(const ShardSupervisor &) = delete;
     ShardSupervisor &operator=(const ShardSupervisor &) = delete;
@@ -114,7 +107,12 @@ class ShardSupervisor
     /** Snapshot file path of shard @p shard_index. */
     std::string shardSnapshotPath(unsigned shard_index) const;
 
-    /** Capture shard @p shard_index and write its snapshot file. */
+    /**
+     * Capture shard @p shard_index and write its snapshot file. The
+     * capture opens a new journal epoch even if the write fails, so
+     * the supervisor then keeps it in memory for recoverShard() until
+     * a later write succeeds.
+     */
     Expected<void> snapshotShard(unsigned shard_index);
 
     /** snapshotShard over every shard; first error wins, the rest
@@ -137,26 +135,16 @@ class ShardSupervisor
 
     SupervisorStats stats() const;
 
-    /// @name Background mode (no-ops when snapshotIntervalMs == 0)
-    /// @{
-    void start();
-    void stop();
-    /// @}
-
   private:
-    void supervisorLoop();
-
     PredictionService &service_;
     SupervisorConfig config_;
 
     mutable std::mutex mutex_;
     SupervisorStats stats_;
-
-    std::thread thread_;
-    std::mutex loopMutex_;
-    std::condition_variable loopCv_;
-    bool running_ = false;
-    bool quit_ = false;
+    /// Per shard: the last capture whose file write failed, empty
+    /// once a later write succeeds. It opened the journal's epoch, so
+    /// it, not the older file, is what recovery must restore.
+    std::vector<std::string> unwritten_;
 };
 
 } // namespace clap

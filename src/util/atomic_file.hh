@@ -38,7 +38,7 @@ namespace clap
  * syscall had. Lets tests prove the commit protocol's cleanup
  * guarantees (no temp file left behind, destination never clobbered
  * by a failed commit) without needing a full-disk or a yanked power
- * cord. Counters are atomics so a supervisor thread and a test thread
+ * cord. Counters are atomics so a writing thread and a test thread
  * can touch them without a data race; production builds pay one
  * relaxed load per armed check, zero branches taken.
  */

@@ -57,7 +57,7 @@ struct TestGateway
 {
     explicit TestGateway(const std::string &endpoint, unsigned shards = 2)
         : service(makeConfig(shards), testHybridFactory()),
-          server(service, nullptr, makeServerConfig(endpoint))
+          server(service, makeServerConfig(endpoint))
     {
         auto started = server.start();
         EXPECT_TRUE(started) << started.error().str();
@@ -227,7 +227,7 @@ TEST(NetConfig, ServerWithANeverExpiringWriteDeadlineDoesNotStart)
     ServerConfig config;
     config.endpoint = udsEndpoint("no_deadline");
     config.writeDeadlineMs = -1;
-    NetServer server(service, nullptr, config);
+    NetServer server(service, config);
     const auto started = server.start();
     ASSERT_FALSE(started);
     EXPECT_EQ(started.error().code(), ErrorCode::InvalidConfig);
@@ -449,10 +449,10 @@ TEST(NetServerClient, HelloVersionMismatchIsARefusedHandshake)
     auto parsed = parseEndpoint(endpoint);
     ASSERT_TRUE(parsed);
 
-    // Well-formed Hellos claiming a future version and the retired v2
-    // and v3 (v3's StatsOk still carried a per-shard rejected slot):
+    // Well-formed Hellos claiming a future version and the retired
+    // v2, v3 and v4 (v4's StatsOk still carried supervisor counters):
     // the server speaks exactly wireVersion and refuses them all.
-    const std::uint16_t refused[] = {wireVersion + 7, 2, 3};
+    const std::uint16_t refused[] = {wireVersion + 7, 2, 3, 4};
     for (const std::uint16_t version : refused) {
         auto raw = connectEndpoint(*parsed, 1000);
         ASSERT_TRUE(raw);
@@ -483,7 +483,7 @@ TEST(NetServerClient, ConnectionBudgetTurnsAwayTheNextConnection)
                               testHybridFactory());
     ServerConfig server_config = TestGateway::makeServerConfig(endpoint);
     server_config.maxConnections = 2;
-    NetServer server(service, nullptr, server_config);
+    NetServer server(service, server_config);
     ASSERT_TRUE(server.start());
 
     ClientConfig config;

@@ -27,7 +27,10 @@ namespace
  * The span layer reads CLAP_TRACE_EVENTS once at first use, so the
  * variable must be set before any Span is constructed anywhere in
  * this binary. A namespace-scope initializer runs before main() and
- * therefore before any test body.
+ * therefore before any test body. It also registers the file's
+ * removal at exit: the span layer registers its exit-time flush at
+ * first use, later, and exit handlers run in reverse order, so the
+ * removal runs after the flush has rewritten the file.
  */
 std::string
 spanFilePath()
@@ -42,6 +45,7 @@ spanFilePath()
 
 const bool spanEnvReady = [] {
     ::setenv("CLAP_TRACE_EVENTS", spanFilePath().c_str(), 1);
+    std::atexit([] { std::remove(spanFilePath().c_str()); });
     return true;
 }();
 

@@ -326,7 +326,7 @@ class ReplicaHandler : public net::FrameHandler
   public:
     ReplicaHandler(PredictionService &service, TrainHold *hold,
                    unsigned replica)
-        : inner_(service, nullptr), hold_(hold), replica_(replica)
+        : inner_(service), hold_(hold), replica_(replica)
     {
     }
 
@@ -750,12 +750,23 @@ TEST(ReplicaGateway, BeginJoinRequiresADownReplicaAndADonor)
 TEST(ReplicaGateway, UnexpectedFrameIsAProtocolErrorAndDrops)
 {
     GatewayFixture fixture("proto");
-    net::Frame frame;
-    frame.type = net::FrameType::HelloOk; // never client -> server
-    const net::HandlerReply reply = fixture.gateway->handle(frame);
-    EXPECT_TRUE(reply.isError);
-    EXPECT_TRUE(reply.drop);
-    EXPECT_EQ(reply.error.code(), ErrorCode::ProtocolError);
+    // HelloOk never flows client -> server; snapshot frames go to a
+    // clapd (the bootstrap's donor and joiner), never to the gateway.
+    net::Frame hello;
+    hello.type = net::FrameType::HelloOk;
+    net::Frame fetch;
+    fetch.type = net::FrameType::SnapshotFetch;
+    fetch.payload = net::encodeSnapshotRequest(0);
+    net::Frame install;
+    install.type = net::FrameType::SnapshotInstall;
+    install.payload = net::encodeSnapshotData(0, "state");
+    for (const net::Frame &frame : {hello, fetch, install}) {
+        const net::HandlerReply reply = fixture.gateway->handle(frame);
+        EXPECT_TRUE(reply.isError) << net::frameTypeName(frame.type);
+        EXPECT_TRUE(reply.drop) << net::frameTypeName(frame.type);
+        EXPECT_EQ(reply.error.code(), ErrorCode::ProtocolError)
+            << net::frameTypeName(frame.type);
+    }
 }
 
 } // namespace

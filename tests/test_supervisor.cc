@@ -8,12 +8,10 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
 #include "core/hybrid_predictor.hh"
 #include "serve/chaos.hh"
@@ -427,30 +425,37 @@ TEST(Supervisor, RecoversAnInjectedWorkerKill)
     removeSnapshots(supervisor, service);
 }
 
-TEST(Supervisor, BackgroundLoopSnapshotsAndRecovers)
+TEST(Supervisor, FailedSnapshotWriteKeepsRecoveryExact)
 {
-    ServiceConfig config;
-    config.shards = 2;
-    config.journalCapacity = 65536;
-    PredictionService service(config, testHybridFactory());
-    SupervisorConfig supConfig = supervisorConfig("sup_loop");
-    supConfig.snapshotIntervalMs = 5;
-    ShardSupervisor supervisor(service, supConfig);
-    supervisor.start();
-
-    ClientSession session = service.connect();
+    PredictionService service(lifecycleConfig(), testHybridFactory());
+    ShardSupervisor supervisor(service,
+                               supervisorConfig("sup_unwritten"));
     const Trace trace = testTrace();
-    replayRange(session, trace, 0, trace.size() / 4);
+    const std::size_t third = trace.size() / 3;
+    ClientSession session = service.connect();
+    EXPECT_EQ(replayRange(session, trace, 0, third), 0u);
+    ASSERT_TRUE(supervisor.snapshotAll());
+    EXPECT_EQ(replayRange(session, trace, third, 2 * third), 0u);
+
+    // The capture opens a new journal epoch, then its file write
+    // fails: the file still holds the 1/3 capture, which the journal
+    // no longer rolls forward from.
+    AtomicFileFaults::instance().failRenames = 1;
+    EXPECT_FALSE(supervisor.snapshotShard(0));
+    AtomicFileFaults::instance().reset();
+    EXPECT_EQ(replayRange(session, trace, 2 * third, trace.size()), 0u);
+
+    const PredictionStats before = service.aggregateStats();
     service.failShard(0, makeError(ErrorCode::CorruptedState,
                                    "injected for test"));
+    EXPECT_EQ(supervisor.checkAndRecover(), 1u);
+    EXPECT_TRUE(service.health());
+    EXPECT_EQ(service.aggregateStats(), before);
 
-    // The loop must notice and recover the shard.
-    for (int i = 0; i < 400 && service.shardQuarantined(0); ++i)
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    supervisor.stop();
-    EXPECT_FALSE(service.shardQuarantined(0));
-    EXPECT_GE(supervisor.stats().snapshots, 2u);
-    EXPECT_GE(supervisor.stats().recoveries, 1u);
+    const SupervisorStats stats = supervisor.stats();
+    EXPECT_EQ(stats.recoveries, 1u);
+    EXPECT_EQ(stats.strictRestores, 1u);
+    EXPECT_EQ(stats.snapshotFailures, 1u);
     removeSnapshots(supervisor, service);
 }
 

@@ -571,9 +571,6 @@ TEST(WireCodec, ServiceStatsRoundTripBitForBit)
         ShardWireStats shard;
         shard.predicts = 100 + i;
         shard.trains = 200 + i;
-        shard.unavailable = 3 * i;
-        shard.queueDepth = 7 + i;
-        shard.quarantined = i == 1 ? 1 : 0;
         // Per-shard resolution stats (wire v2): what the replication
         // auditor compares across replicas, so they must survive the
         // wire bit for bit.
@@ -587,9 +584,6 @@ TEST(WireCodec, ServiceStatsRoundTripBitForBit)
         shard.stats.missSelections = 5 + i;
         stats.shards.push_back(shard);
     }
-    stats.supervisor.snapshots = 9;
-    stats.supervisor.recoveries = 2;
-    stats.supervisor.salvagedRestores = 1;
 
     const std::string payload = encodeServiceStats(stats);
     ServiceWireStats out;
@@ -599,16 +593,8 @@ TEST(WireCodec, ServiceStatsRoundTripBitForBit)
     for (std::size_t i = 0; i < 3; ++i) {
         EXPECT_EQ(out.shards[i].predicts, stats.shards[i].predicts);
         EXPECT_EQ(out.shards[i].trains, stats.shards[i].trains);
-        EXPECT_EQ(out.shards[i].unavailable,
-                  stats.shards[i].unavailable);
-        EXPECT_EQ(out.shards[i].queueDepth, stats.shards[i].queueDepth);
-        EXPECT_EQ(out.shards[i].quarantined,
-                  stats.shards[i].quarantined);
         EXPECT_EQ(out.shards[i].stats, stats.shards[i].stats);
     }
-    EXPECT_EQ(out.supervisor.snapshots, 9u);
-    EXPECT_EQ(out.supervisor.recoveries, 2u);
-    EXPECT_EQ(out.supervisor.salvagedRestores, 1u);
 }
 
 TEST(WireCodec, SnapshotPayloadsRoundTrip)
